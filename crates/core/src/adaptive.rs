@@ -10,12 +10,29 @@
 //! Following the paper's Example 4, the validation neighborhood excludes
 //! `tⱼ` itself (`T₁ = {t₂, t₃, t₄}` for `t₁`), while *learning*
 //! neighborhoods include the tuple (`ℓ = 1 ⇒ Tᵢ = {tᵢ}`, §III-A2).
+//!
+//! # Fused sweep
+//!
+//! The paper's §V-A1 precomputes every tuple's neighbors once. Here only
+//! the validator orders (depth k + 1) are stored. Each tuple's learning
+//! prefix `NN(tᵢ, F, ℓ_max)` is enumerated inside the per-tuple map
+//! ([`Prefixes`]), into per-worker scratch, and the Gram sweep solves
+//! every grid point in fixed buffers, keeping only the best φ; one
+//! [`RidgeModel`] is built per tuple. An attribute's fit therefore holds
+//! O(threads · n) of neighbor state rather than an n × ℓ_max matrix.
+//! The floating-point operations are those of
+//! [`ModelSweep`](crate::incremental::ModelSweep) over stored
+//! [`NeighborOrders`], in the same order, so Φ and ℓ* are bitwise what
+//! that reference computes (property-tested in `tests/adaptive_props.rs`).
 
 use crate::config::AdaptiveConfig;
-use crate::incremental::{sweep_values, ModelSweep};
+use crate::incremental::sweep_values;
+use crate::learn::unsolvable;
+use iim_data::ImputeError;
 use iim_exec::Pool;
-use iim_linalg::RidgeModel;
-use iim_neighbors::{brute::FeatureMatrix, NeighborOrders};
+use iim_linalg::{predict_phi, solve_spd_regularized_into, GramAccumulator, Matrix, RidgeModel};
+use iim_neighbors::{brute::FeatureMatrix, NeighborIndex, NeighborOrders, PrefixScratch, Prefixes};
+use std::cell::Cell;
 
 /// Result of adaptive learning.
 #[derive(Debug, Clone)]
@@ -28,107 +45,247 @@ pub struct AdaptiveOutcome {
     pub swept: Vec<usize>,
 }
 
-/// Runs Algorithm 3. See the module docs for the cost definition.
+/// Runs Algorithm 3 over the points of `index` (the model's serving
+/// index, whose tree also answers shallow prefix queries). See the module
+/// docs for the cost definition.
 ///
 /// * `k` — validation neighbor count (the same `k` as the imputation
 ///   phase, Algorithm 3 Line 4).
 /// * `cfg.step` — stepping `h` (§V-A2).
 /// * `cfg.incremental` — Proposition-3 Gram updates vs from-scratch
 ///   re-learning; identical output either way.
+///
+/// Fails with [`ImputeError::Unsupported`] when a candidate model's ridge
+/// system cannot be solved, which takes values whose Gram sums overflow.
 pub fn adaptive_learn(
-    fm: &FeatureMatrix,
+    index: &NeighborIndex,
     ys: &[f64],
-    orders: &NeighborOrders,
     k: usize,
     cfg: &AdaptiveConfig,
     alpha: f64,
     threads: usize,
-) -> AdaptiveOutcome {
-    let (outcome, _) = adaptive_learn_detailed(fm, ys, orders, k, cfg, alpha, threads, false);
-    outcome
+) -> Result<AdaptiveOutcome, ImputeError> {
+    let (outcome, _) = adaptive_learn_detailed(index, ys, k, cfg, alpha, threads, false)?;
+    Ok(outcome)
 }
 
 /// [`adaptive_learn`] that can also return the full `cost[i][ℓ]` table
 /// (flattened `n x |swept|`, row-major) for diagnostics and tests.
-#[allow(clippy::too_many_arguments)]
 pub fn adaptive_learn_detailed(
-    fm: &FeatureMatrix,
+    index: &NeighborIndex,
     ys: &[f64],
-    orders: &NeighborOrders,
     k: usize,
     cfg: &AdaptiveConfig,
     alpha: f64,
     threads: usize,
     record_costs: bool,
-) -> (AdaptiveOutcome, Option<Vec<f64>>) {
+) -> Result<(AdaptiveOutcome, Option<Vec<f64>>), ImputeError> {
+    let fm = index.matrix();
     let n = fm.len();
     assert!(n > 0, "cannot learn from an empty relation");
+    assert_eq!(ys.len(), n, "one target value per training tuple");
     assert!(k >= 1, "validation requires k >= 1");
-    let swept = sweep_values(n, cfg.step, cfg.ell_max.map(|e| e.min(orders.depth())));
-    assert!(
-        *swept.last().expect("non-empty sweep") <= orders.depth(),
-        "neighbor orders too shallow for the sweep"
-    );
-
-    // Reverse validator map: validators of i = all j with i ∈ NN(tj, F, k),
-    // self excluded (Example 4). Tuples nobody consults fall back to
-    // self-validation so their cost is still informative. Stored as one
-    // flattened CSR block (offsets + data) instead of n little `Vec`s —
-    // two allocations total, cache-friendly row reads in the sweep below.
-    let k_eff = k.min(n.saturating_sub(1));
-    let each_validated = |visit: &mut dyn FnMut(usize, u32)| {
-        for j in 0..n {
-            let mut taken = 0;
-            for &p in orders.neighbors_of(j) {
-                if p as usize == j {
-                    continue;
-                }
-                visit(p as usize, j as u32);
-                taken += 1;
-                if taken == k_eff {
-                    break;
-                }
-            }
-        }
+    let swept = sweep_values(n, cfg.step, cfg.ell_max);
+    let pool = Pool::new(threads);
+    let validators = Validators::build(&pool, index, k, cfg.ell_max);
+    let prefixes = Prefixes::new(index, *swept.last().expect("non-empty sweep"));
+    let sweep = Sweep {
+        fm,
+        ys,
+        swept: &swept,
+        alpha,
+        incremental: cfg.incremental,
+        record_costs,
     };
-    let mut counts = vec![0u32; n];
-    each_validated(&mut |p, _| counts[p] += 1);
-    // Rows nobody consults get one self-validation slot.
-    let mut offsets = vec![0usize; n + 1];
-    for i in 0..n {
-        offsets[i + 1] = offsets[i] + (counts[i].max(1) as usize);
+
+    thread_local! {
+        static SCRATCH: Cell<SweepScratch> = Cell::new(SweepScratch::default());
     }
-    let mut validator_data = vec![0u32; offsets[n]];
-    for (i, &c) in counts.iter().enumerate() {
-        if c == 0 {
-            validator_data[offsets[i]] = i as u32;
-        }
-    }
-    let mut cursor: Vec<usize> = offsets[..n].to_vec();
-    // Same j-ascending fill order as the old per-Vec pushes, so each row
-    // lists its validators identically and cost sums keep their FP order.
-    each_validated(&mut |p, j| {
-        validator_data[cursor[p]] = j;
-        cursor[p] += 1;
+    let results: Vec<Option<PerTuple>> = pool.parallel_map_indexed(n, |i| {
+        iim_exec::with_tls_scratch(&SCRATCH, |scratch| {
+            scratch.reserve(fm.n_features(), prefixes.depth());
+            prefixes.fill(i, &mut scratch.search, &mut scratch.prefix);
+            sweep.run(validators.of(i), scratch)
+        })
     });
 
-    struct PerTuple {
-        model: RidgeModel,
-        ell: u32,
-        costs: Option<Vec<f64>>,
+    let mut models = Vec::with_capacity(n);
+    let mut chosen = Vec::with_capacity(n);
+    let mut table = record_costs.then(|| Vec::with_capacity(n * swept.len()));
+    for (i, r) in results.into_iter().enumerate() {
+        let Some(r) = r else {
+            return Err(unsolvable(fm, i));
+        };
+        models.push(r.model);
+        chosen.push(r.ell);
+        if let (Some(t), Some(c)) = (table.as_mut(), r.costs) {
+            t.extend(c);
+        }
+    }
+    Ok((
+        AdaptiveOutcome {
+            models,
+            chosen_ell: chosen,
+            swept,
+        },
+        table,
+    ))
+}
+
+/// Reverse validator map in CSR form: the validators of `i` are all `j`
+/// with `i ∈ NN(tⱼ, F, k)`, self excluded (Example 4), listed by
+/// ascending `j`. Tuples nobody consults fall back to self-validation so
+/// their cost is still informative.
+struct Validators {
+    offsets: Vec<usize>,
+    data: Vec<u32>,
+}
+
+impl Validators {
+    /// Reads each tuple's validation neighbors from the first
+    /// `max(ℓ_max, k)` entries of its order — the depth of the one order
+    /// learning and validation share in §V-A1's precomputation — so a cap
+    /// ℓ_max ≤ k leaves fewer than k validators per tuple.
+    fn build(pool: &Pool, index: &NeighborIndex, k: usize, ell_max: Option<usize>) -> Self {
+        let n = index.len();
+        let k_eff = k.min(n - 1);
+        let shared_depth = ell_max.map_or(n, |e| e.min(n)).max(k.min(n)).max(1);
+        let orders = NeighborOrders::build_from_index(pool, index, shared_depth.min(k_eff + 1));
+        let each_validated = |visit: &mut dyn FnMut(usize, u32)| {
+            for j in 0..n {
+                let mut taken = 0;
+                for &p in orders.neighbors_of(j) {
+                    if p as usize == j {
+                        continue;
+                    }
+                    visit(p as usize, j as u32);
+                    taken += 1;
+                    if taken == k_eff {
+                        break;
+                    }
+                }
+            }
+        };
+        let mut counts = vec![0u32; n];
+        each_validated(&mut |p, _| counts[p] += 1);
+        // Rows nobody consults get one self-validation slot.
+        let mut offsets = vec![0usize; n + 1];
+        for i in 0..n {
+            offsets[i + 1] = offsets[i] + (counts[i].max(1) as usize);
+        }
+        let mut data = vec![0u32; offsets[n]];
+        for (i, &c) in counts.iter().enumerate() {
+            if c == 0 {
+                data[offsets[i]] = i as u32;
+            }
+        }
+        let mut cursor: Vec<usize> = offsets[..n].to_vec();
+        each_validated(&mut |p, j| {
+            data[cursor[p]] = j;
+            cursor[p] += 1;
+        });
+        Self { offsets, data }
     }
 
-    let results: Vec<PerTuple> = Pool::new(threads).parallel_map_indexed(n, |i| {
-        let prefix = orders.neighbors_of(i);
-        let mut sweep = ModelSweep::new(fm, ys, prefix, alpha, cfg.incremental);
-        let mut best: Option<(f64, usize, RidgeModel)> = None;
-        let mut costs = record_costs.then(|| Vec::with_capacity(swept.len()));
-        for &ell in &swept {
-            let model = sweep.model_at(ell);
+    fn of(&self, i: usize) -> &[u32] {
+        &self.data[self.offsets[i]..self.offsets[i + 1]]
+    }
+}
+
+/// Per-worker buffers of the sweep, reused across tuples: the learning
+/// prefix, its search scratch, the Gram pair, the Cholesky workspace, and
+/// the current and best φ.
+struct SweepScratch {
+    prefix: Vec<u32>,
+    search: PrefixScratch,
+    acc: GramAccumulator,
+    factor: Matrix,
+    phi: Vec<f64>,
+    best_phi: Vec<f64>,
+}
+
+impl Default for SweepScratch {
+    fn default() -> Self {
+        Self::sized(0)
+    }
+}
+
+impl SweepScratch {
+    fn sized(n_features: usize) -> Self {
+        let m = n_features + 1;
+        Self {
+            prefix: Vec::new(),
+            search: PrefixScratch::new(),
+            acc: GramAccumulator::new(n_features),
+            factor: Matrix::zeros(m, m),
+            phi: vec![0.0; m],
+            best_phi: vec![0.0; m],
+        }
+    }
+
+    /// Sizes the buffers for `n_features` and a prefix of `depth`.
+    fn reserve(&mut self, n_features: usize, depth: usize) {
+        if self.phi.len() != n_features + 1 {
+            *self = Self::sized(n_features);
+        }
+        self.prefix.resize(depth, 0);
+    }
+}
+
+/// The selection of one tuple.
+struct PerTuple {
+    model: RidgeModel,
+    ell: u32,
+    costs: Option<Vec<f64>>,
+}
+
+/// What every tuple's sweep shares.
+struct Sweep<'a> {
+    fm: &'a FeatureMatrix,
+    ys: &'a [f64],
+    swept: &'a [usize],
+    alpha: f64,
+    incremental: bool,
+    record_costs: bool,
+}
+
+impl Sweep<'_> {
+    /// Sweeps the ℓ grid over the prefix in `s.prefix`, charging each
+    /// candidate model against `validators`. `None` when a ridge solve
+    /// fails.
+    fn run(&self, validators: &[u32], s: &mut SweepScratch) -> Option<PerTuple> {
+        let (fm, ys) = (self.fm, self.ys);
+        s.acc.clear();
+        let prefix = &s.prefix;
+        let mut absorbed = 0;
+        let mut best: Option<(f64, usize)> = None;
+        let mut costs = self
+            .record_costs
+            .then(|| Vec::with_capacity(self.swept.len()));
+        for &ell in self.swept {
+            if ell == 1 {
+                // §III-A2 single-neighbor special case: the constant model.
+                s.phi.fill(0.0);
+                s.phi[0] = ys[prefix[0] as usize];
+            } else {
+                // Incremental: absorb Formula 14's increment T^(ℓ+h) \ T^(ℓ).
+                // Straightforward: re-accumulate the whole prefix.
+                if !self.incremental {
+                    s.acc.clear();
+                    absorbed = 0;
+                }
+                for &p in &prefix[absorbed..ell] {
+                    s.acc.add_row(fm.point(p as usize), ys[p as usize]);
+                }
+                absorbed = ell;
+                let (u, v) = (s.acc.u(), s.acc.v());
+                if !solve_spd_regularized_into(u, v, self.alpha, &mut s.factor, &mut s.phi) {
+                    return None;
+                }
+            }
             let mut cost = 0.0;
-            for &j in &validator_data[offsets[i]..offsets[i + 1]] {
-                let pred = model.predict(fm.point(j as usize));
-                let err = ys[j as usize] - pred;
+            for &j in validators {
+                let err = ys[j as usize] - predict_phi(&s.phi, fm.point(j as usize));
                 cost += err * err;
             }
             if let Some(c) = costs.as_mut() {
@@ -136,51 +293,34 @@ pub fn adaptive_learn_detailed(
             }
             // Strict '<' keeps the smallest ℓ on ties, matching the
             // argmin-in-order semantics of Line 9.
-            let better = best.as_ref().is_none_or(|(b, _, _)| cost < *b);
-            if better {
-                best = Some((cost, ell, model));
+            if best.is_none_or(|(b, _)| cost < b) {
+                best = Some((cost, ell));
+                s.best_phi.copy_from_slice(&s.phi);
             }
         }
-        let (_, ell, model) = best.expect("sweep is non-empty");
-        PerTuple {
-            model,
+        let (_, ell) = best.expect("sweep is non-empty");
+        Some(PerTuple {
+            model: RidgeModel {
+                phi: s.best_phi.clone().into(),
+            },
             ell: ell as u32,
             costs,
-        }
-    });
-
-    let mut models = Vec::with_capacity(n);
-    let mut chosen = Vec::with_capacity(n);
-    let mut table = record_costs.then(|| Vec::with_capacity(n * swept.len()));
-    for r in results {
-        models.push(r.model);
-        chosen.push(r.ell);
-        if let (Some(t), Some(c)) = (table.as_mut(), r.costs) {
-            t.extend(c);
-        }
+        })
     }
-    (
-        AdaptiveOutcome {
-            models,
-            chosen_ell: chosen,
-            swept,
-        },
-        table,
-    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use iim_data::paper_fig1;
+    use iim_neighbors::IndexChoice;
 
-    fn setup() -> (FeatureMatrix, Vec<f64>, NeighborOrders) {
+    fn setup() -> (NeighborIndex, Vec<f64>) {
         let (rel, _) = paper_fig1();
         let rows: Vec<u32> = (0..8).collect();
         let fm = FeatureMatrix::gather(&rel, &[0], &rows);
         let ys: Vec<f64> = (0..8).map(|i| rel.value(i, 1)).collect();
-        let orders = NeighborOrders::build(&fm, 8);
-        (fm, ys, orders)
+        (NeighborIndex::build(fm, IndexChoice::Auto), ys)
     }
 
     #[test]
@@ -197,14 +337,15 @@ mod tests {
         // §III-A2 prescribes φ[C] = t₂[A2] = 4.6 (cost 4.04) — either way
         // ℓ = 1 loses by an order of magnitude and the selection is
         // unaffected.
-        let (fm, ys, orders) = setup();
+        let (index, ys) = setup();
         let cfg = AdaptiveConfig {
             step: 1,
             ell_max: None,
             incremental: true,
             ..AdaptiveConfig::default()
         };
-        let (outcome, costs) = adaptive_learn_detailed(&fm, &ys, &orders, 3, &cfg, 1e-9, 1, true);
+        let (outcome, costs) =
+            adaptive_learn_detailed(&index, &ys, 3, &cfg, 1e-9, 1, true).unwrap();
         let costs = costs.expect("recorded");
         let t2 = &costs[8..16]; // tuple index 1, 8 sweep points
         let exact = [4.04, 3.785, 0.3124, 0.0919, 1.4723, 2.3559, 3.0334, 3.6487];
@@ -229,14 +370,15 @@ mod tests {
     fn paper_example_5_stepping() {
         // h = 3 considers ℓ ∈ {1, 4, 7}; t2 still selects ℓ = 4 with
         // φ₂ = (5.56, -0.87).
-        let (fm, ys, orders) = setup();
+        let (index, ys) = setup();
         let cfg = AdaptiveConfig {
             step: 3,
             ell_max: None,
             incremental: true,
             ..AdaptiveConfig::default()
         };
-        let (outcome, costs) = adaptive_learn_detailed(&fm, &ys, &orders, 3, &cfg, 1e-9, 1, true);
+        let (outcome, costs) =
+            adaptive_learn_detailed(&index, &ys, 3, &cfg, 1e-9, 1, true).unwrap();
         assert_eq!(outcome.swept, vec![1, 4, 7]);
         let t2 = &costs.unwrap()[3..6];
         assert!((t2[1] - 0.0919).abs() < 0.005, "cost[2][4] {}", t2[1]);
@@ -247,7 +389,7 @@ mod tests {
 
     #[test]
     fn incremental_and_straightforward_agree() {
-        let (fm, ys, orders) = setup();
+        let (index, ys) = setup();
         for step in [1usize, 2, 3] {
             let inc = AdaptiveConfig {
                 step,
@@ -261,8 +403,8 @@ mod tests {
                 incremental: false,
                 ..AdaptiveConfig::default()
             };
-            let a = adaptive_learn(&fm, &ys, &orders, 3, &inc, 1e-9, 1);
-            let b = adaptive_learn(&fm, &ys, &orders, 3, &scr, 1e-9, 1);
+            let a = adaptive_learn(&index, &ys, 3, &inc, 1e-9, 1).unwrap();
+            let b = adaptive_learn(&index, &ys, 3, &scr, 1e-9, 1).unwrap();
             assert_eq!(a.chosen_ell, b.chosen_ell, "step {step}");
             for (x, y) in a.models.iter().zip(&b.models) {
                 for (p, q) in x.phi.iter().zip(&y.phi) {
@@ -274,23 +416,23 @@ mod tests {
 
     #[test]
     fn parallel_matches_serial() {
-        let (fm, ys, orders) = setup();
+        let (index, ys) = setup();
         let cfg = AdaptiveConfig::default();
-        let a = adaptive_learn(&fm, &ys, &orders, 3, &cfg, 1e-9, 1);
-        let b = adaptive_learn(&fm, &ys, &orders, 3, &cfg, 1e-9, 4);
+        let a = adaptive_learn(&index, &ys, 3, &cfg, 1e-9, 1).unwrap();
+        let b = adaptive_learn(&index, &ys, 3, &cfg, 1e-9, 4).unwrap();
         assert_eq!(a.chosen_ell, b.chosen_ell);
     }
 
     #[test]
     fn ell_max_caps_sweep() {
-        let (fm, ys, orders) = setup();
+        let (index, ys) = setup();
         let cfg = AdaptiveConfig {
             step: 1,
             ell_max: Some(3),
             incremental: true,
             ..AdaptiveConfig::default()
         };
-        let out = adaptive_learn(&fm, &ys, &orders, 3, &cfg, 1e-9, 1);
+        let out = adaptive_learn(&index, &ys, 3, &cfg, 1e-9, 1).unwrap();
         assert_eq!(out.swept, vec![1, 2, 3]);
         assert!(out.chosen_ell.iter().all(|&l| l <= 3));
     }
@@ -299,11 +441,51 @@ mod tests {
     fn singleton_relation_falls_back_to_self_validation() {
         let fm = FeatureMatrix::from_dense(1, vec![0], vec![2.0]);
         let ys = vec![5.0];
-        let orders = NeighborOrders::build(&fm, 1);
+        let index = NeighborIndex::build(fm, IndexChoice::Auto);
         let cfg = AdaptiveConfig::default();
-        let out = adaptive_learn(&fm, &ys, &orders, 3, &cfg, 1e-6, 1);
+        let out = adaptive_learn(&index, &ys, 3, &cfg, 1e-6, 1).unwrap();
         assert_eq!(out.models.len(), 1);
         assert_eq!(out.chosen_ell[0], 1);
         assert_eq!(out.models[0].predict(&[2.0]), 5.0);
+    }
+
+    #[test]
+    fn cost_ties_keep_the_smallest_ell() {
+        // All-zero targets make every candidate model exactly φ = 0, so
+        // every grid point costs exactly 0: Line 9's argmin keeps ℓ = 1.
+        let (index, ys) = setup();
+        let zeros = vec![0.0; ys.len()];
+        for incremental in [true, false] {
+            let cfg = AdaptiveConfig {
+                incremental,
+                ..AdaptiveConfig::default()
+            };
+            let out = adaptive_learn(&index, &zeros, 3, &cfg, 1e-9, 1).unwrap();
+            assert_eq!(out.chosen_ell, vec![1; 8]);
+        }
+    }
+
+    #[test]
+    fn overflowing_gram_system_is_an_error_in_both_modes() {
+        // One 1e200 feature value overflows every Gram sum it enters; the
+        // sweep reports the failed solve instead of panicking.
+        let xs = [0.0, 1.0, 2.0, 1e200, 4.0, 5.0];
+        let fm = FeatureMatrix::from_dense(1, (10..16).collect::<Vec<u32>>(), xs.to_vec());
+        let ys: Vec<f64> = xs.iter().map(|x| 2.0 * x + 1.0).collect();
+        let index = NeighborIndex::build(fm, IndexChoice::Auto);
+        for incremental in [true, false] {
+            let cfg = AdaptiveConfig {
+                incremental,
+                ..AdaptiveConfig::default()
+            };
+            for threads in [1, 4] {
+                match adaptive_learn(&index, &ys, 3, &cfg, 1e-6, threads) {
+                    Err(ImputeError::Unsupported(why)) => {
+                        assert!(why.contains("training row 10"), "{why}")
+                    }
+                    other => panic!("expected a typed error, got {other:?}"),
+                }
+            }
+        }
     }
 }

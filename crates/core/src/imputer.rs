@@ -156,38 +156,41 @@ impl IimModel {
             .iter()
             .map(|&r| task.target_value(r as usize))
             .collect();
-        Ok(Self::learn_from_parts(fm, &ys, cfg))
+        Self::fit_parts(fm, &ys, cfg)
     }
 
     /// [`IimModel::learn`] over pre-gathered parts (used by benches that
     /// need to time the phases in isolation).
     ///
     /// Builds the serving [`NeighborIndex`] first ([`IimConfig::index`])
-    /// and routes the offline neighbor-order construction through it, so
-    /// one index serves both phases.
+    /// and routes the offline neighbor search through it, so one index
+    /// serves both phases.
+    ///
+    /// Panics where [`IimModel::learn`] returns an error: when a ridge
+    /// system has no finite solution (values whose Gram sums overflow).
     pub fn learn_from_parts(fm: FeatureMatrix, ys: &[f64], cfg: &IimConfig) -> Self {
+        Self::fit_parts(fm, ys, cfg).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    fn fit_parts(fm: FeatureMatrix, ys: &[f64], cfg: &IimConfig) -> Result<Self, ImputeError> {
         let n = fm.len();
         let threads = cfg.effective_threads();
-        let pool = iim_exec::Pool::new(threads);
         let index = NeighborIndex::build(fm, cfg.index);
-        let fm = index.matrix();
         let (models, chosen_ell) = match &cfg.learning {
             Learning::Fixed { ell } => {
                 let ell = (*ell).clamp(1, n);
+                let pool = iim_exec::Pool::new(threads);
                 let orders = NeighborOrders::build_from_index(&pool, &index, ell);
-                let models = learn_fixed(fm, ys, &orders, ell, cfg.alpha, threads);
+                let models = learn_fixed(index.matrix(), ys, &orders, ell, cfg.alpha, threads)?;
                 (models, vec![ell as u32; n])
             }
             Learning::Adaptive(acfg) => {
-                let vk_hint = acfg.validation_k.unwrap_or(cfg.k);
-                let depth = acfg.ell_max.map_or(n, |e| e.min(n)).max(vk_hint.min(n)); // orders must also serve validation kNN
-                let orders = NeighborOrders::build_from_index(&pool, &index, depth.max(1));
                 let vk = acfg.validation_k.unwrap_or(cfg.k).max(1);
-                let out = adaptive_learn(fm, ys, &orders, vk, acfg, cfg.alpha, threads);
+                let out = adaptive_learn(&index, ys, vk, acfg, cfg.alpha, threads)?;
                 (out.models, out.chosen_ell)
             }
         };
-        Self {
+        Ok(Self {
             index,
             models,
             chosen_ell: chosen_ell.into(),
@@ -197,7 +200,7 @@ impl IimModel {
             weighting: cfg.weighting,
             absorbed: 0,
             sm: HashMap::new(),
-        }
+        })
     }
 
     /// Online phase (Algorithm 2): imputes one query from its feature
@@ -241,8 +244,8 @@ impl IimModel {
         self.index.len()
     }
 
-    /// The stored neighbor-search index (`"brute"` or `"kdtree"` via
-    /// [`NeighborIndex::kind`]).
+    /// The stored neighbor-search index (`"brute"`, `"kdtree"` or
+    /// `"vptree"` via [`NeighborIndex::kind`]).
     pub fn index(&self) -> &NeighborIndex {
         &self.index
     }
@@ -700,6 +703,27 @@ mod tests {
         ));
         assert_eq!(model.absorbed(), 0);
         assert_eq!(model.n_train(), 8);
+    }
+
+    #[test]
+    fn overflowing_gram_system_is_a_typed_error() {
+        // A finite 1e200 feature overflows the Gram sums of every learning
+        // set it joins; both learning modes report it instead of panicking.
+        let mut rel = iim_data::Relation::with_capacity(iim_data::Schema::anonymous(2), 30);
+        for i in 0..30 {
+            let x = if i == 7 { 1e200 } else { i as f64 };
+            rel.push_row_opt(&[Some(x), Some(2.0 * i as f64 + 1.0)]);
+        }
+        let task = AttrTask::new(&rel, vec![0], 1);
+        for cfg in [IimConfig::default(), IimConfig::fixed(4, 3)] {
+            match IimModel::learn(&task, &cfg) {
+                Err(ImputeError::Unsupported(why)) => {
+                    assert!(why.contains("no finite solution"), "{why}")
+                }
+                Err(e) => panic!("{:?}: unexpected error {e}", cfg.learning),
+                Ok(_) => panic!("{:?}: learned from an overflowing relation", cfg.learning),
+            }
+        }
     }
 
     #[test]

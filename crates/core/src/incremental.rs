@@ -1,12 +1,18 @@
 //! Incremental candidate-model computation (§V-B, Proposition 3).
 //!
 //! The adaptive sweep must produce `φ⁽ℓ⁾` for a whole grid of ℓ values per
-//! tuple. Because neighbor prefixes nest (Formula 13), [`ModelSweep`] in
-//! incremental mode keeps one [`GramAccumulator`] per tuple and absorbs only
-//! the `h` new neighbors between consecutive grid points — `O(m²h + m³)`
-//! per model instead of the from-scratch `O(m²ℓ + m³)` (Table III). The
-//! from-scratch mode exists as the paper's "straightforward" comparator
-//! (Figures 12–13); both modes produce identical models.
+//! tuple. Because neighbor prefixes nest (Formula 13), the incremental mode
+//! keeps one [`GramAccumulator`] per tuple and absorbs only the `h` new
+//! neighbors between consecutive grid points — `O(m²h + m³)` per model
+//! instead of the from-scratch `O(m²ℓ + m³)` (Table III). The from-scratch
+//! mode exists as the paper's "straightforward" comparator (Figures
+//! 12–13); both modes produce identical models.
+//!
+//! [`ModelSweep`] is the readable form of one tuple's sweep, over a stored
+//! prefix, one [`RidgeModel`] per grid point. The fitting path runs the
+//! same arithmetic fused with prefix enumeration in
+//! [`adaptive`](crate::adaptive); `ModelSweep` is the reference the
+//! property tests hold it to.
 
 use crate::learn::learn_one;
 use iim_linalg::{GramAccumulator, RidgeModel};
@@ -53,9 +59,10 @@ impl<'a> ModelSweep<'a> {
         }
     }
 
-    /// The model `φ⁽ℓ⁾`. Panics if called with decreasing ℓ in incremental
-    /// mode or with `ell` beyond the prefix length.
-    pub fn model_at(&mut self, ell: usize) -> RidgeModel {
+    /// The model `φ⁽ℓ⁾`, or `None` when its ridge system has no finite
+    /// solution. Panics if called with decreasing ℓ in incremental mode or
+    /// with `ell` beyond the prefix length.
+    pub fn model_at(&mut self, ell: usize) -> Option<RidgeModel> {
         assert!(
             ell >= 1 && ell <= self.prefix.len(),
             "ell {ell} out of range"
@@ -74,9 +81,9 @@ impl<'a> ModelSweep<'a> {
                 if ell == 1 {
                     // §III-A2 single-neighbor special case.
                     let own = self.prefix[0] as usize;
-                    RidgeModel::constant(self.ys[own], self.fm.n_features())
+                    Some(RidgeModel::constant(self.ys[own], self.fm.n_features()))
                 } else {
-                    acc.solve(self.alpha).expect("finite training data")
+                    acc.solve(self.alpha)
                 }
             }
             None => learn_one(self.fm, self.ys, self.prefix, ell, self.alpha),
@@ -123,8 +130,8 @@ mod tests {
             let mut inc = ModelSweep::new(&fm, &ys, prefix, 1e-9, true);
             let mut scratch = ModelSweep::new(&fm, &ys, prefix, 1e-9, false);
             for ell in 1..=8 {
-                let a = inc.model_at(ell);
-                let b = scratch.model_at(ell);
+                let a = inc.model_at(ell).unwrap();
+                let b = scratch.model_at(ell).unwrap();
                 for (x, y) in a.phi.iter().zip(&b.phi) {
                     assert!((x - y).abs() < 1e-7, "tuple {tuple} ell {ell}: {x} vs {y}");
                 }
@@ -138,8 +145,8 @@ mod tests {
         let prefix = orders.neighbors_of(1);
         let mut inc = ModelSweep::new(&fm, &ys, prefix, 1e-9, true);
         for ell in [1usize, 4, 7] {
-            let a = inc.model_at(ell);
-            let b = learn_one(&fm, &ys, prefix, ell, 1e-9);
+            let a = inc.model_at(ell).unwrap();
+            let b = learn_one(&fm, &ys, prefix, ell, 1e-9).unwrap();
             for (x, y) in a.phi.iter().zip(&b.phi) {
                 assert!((x - y).abs() < 1e-7);
             }
@@ -161,7 +168,7 @@ mod tests {
         let (fm, ys, orders) = setup();
         for incremental in [true, false] {
             let mut sweep = ModelSweep::new(&fm, &ys, orders.neighbors_of(2), 1e-9, incremental);
-            let m = sweep.model_at(1);
+            let m = sweep.model_at(1).unwrap();
             assert_eq!(m.phi, vec![ys[2], 0.0]);
         }
     }

@@ -1,6 +1,7 @@
 //! The learning phase (Algorithm 1): one ridge model per complete tuple
 //! over its ℓ nearest learning neighbors.
 
+use iim_data::ImputeError;
 use iim_exec::Pool;
 use iim_linalg::{ridge_fit, RidgeModel};
 use iim_neighbors::{brute::FeatureMatrix, NeighborOrders};
@@ -19,6 +20,9 @@ use iim_neighbors::{brute::FeatureMatrix, NeighborOrders};
 ///
 /// `ell = 1` yields the paper's constant model `φ[C] = tᵢ[Am]`, all other
 /// coefficients zero (§III-A2 "Handling Single Neighbor").
+///
+/// Fails with [`ImputeError::Unsupported`] when a tuple's ridge system
+/// cannot be solved, which takes values whose Gram sums overflow.
 pub fn learn_fixed(
     fm: &FeatureMatrix,
     ys: &[f64],
@@ -26,7 +30,7 @@ pub fn learn_fixed(
     ell: usize,
     alpha: f64,
     threads: usize,
-) -> Vec<RidgeModel> {
+) -> Result<Vec<RidgeModel>, ImputeError> {
     let n = fm.len();
     assert_eq!(ys.len(), n, "one target value per training tuple");
     assert!(n > 0, "cannot learn from an empty relation");
@@ -39,29 +43,44 @@ pub fn learn_fixed(
     );
     Pool::new(threads)
         .parallel_map_indexed(n, |i| learn_one(fm, ys, orders.neighbors_of(i), ell, alpha))
+        .into_iter()
+        .enumerate()
+        .map(|(i, model)| model.ok_or_else(|| unsolvable(fm, i)))
+        .collect()
 }
 
-/// Learns the individual model of one tuple from its sorted neighbor prefix.
+/// The error for training tuple `pos` of `fm` whose ridge system has no
+/// finite solution.
+pub(crate) fn unsolvable(fm: &FeatureMatrix, pos: usize) -> ImputeError {
+    ImputeError::Unsupported(format!(
+        "the ridge system of training row {} has no finite solution \
+         (values too large for its Gram sums)",
+        fm.row_id(pos)
+    ))
+}
+
+/// Learns the individual model of one tuple from its sorted neighbor
+/// prefix; `None` when the ridge system has no finite solution.
 pub fn learn_one(
     fm: &FeatureMatrix,
     ys: &[f64],
     neighbor_prefix: &[u32],
     ell: usize,
     alpha: f64,
-) -> RidgeModel {
+) -> Option<RidgeModel> {
     debug_assert!(ell >= 1 && ell <= neighbor_prefix.len());
     if ell == 1 {
         // §III-A2: a single neighbor (the tuple itself) cannot support a
         // regression; pin the constant model.
         let own = neighbor_prefix[0] as usize;
-        return RidgeModel::constant(ys[own], fm.n_features());
+        return Some(RidgeModel::constant(ys[own], fm.n_features()));
     }
     let rows = neighbor_prefix[..ell].iter().map(|&p| fm.point(p as usize));
     let targets: Vec<f64> = neighbor_prefix[..ell]
         .iter()
         .map(|&p| ys[p as usize])
         .collect();
-    ridge_fit(rows, &targets, alpha).expect("finite training data")
+    ridge_fit(rows, &targets, alpha)
 }
 
 #[cfg(test)]
@@ -88,7 +107,7 @@ mod tests {
         // reports slightly off as (-4.36, 1.11). We pin exact arithmetic
         // tightly and the paper's rounding loosely.
         let (fm, ys, orders) = fig1_setup();
-        let phi = learn_fixed(&fm, &ys, &orders, 4, 1e-9, 1);
+        let phi = learn_fixed(&fm, &ys, &orders, 4, 1e-9, 1).unwrap();
         assert_eq!(phi.len(), 8);
         assert!((phi[0].phi[0] - 5.56).abs() < 0.01, "phi1 {:?}", phi[0]);
         assert!((phi[0].phi[1] + 0.87).abs() < 0.01);
@@ -102,7 +121,7 @@ mod tests {
     #[test]
     fn ell_one_is_constant_model() {
         let (fm, ys, orders) = fig1_setup();
-        let phi = learn_fixed(&fm, &ys, &orders, 1, 1e-9, 1);
+        let phi = learn_fixed(&fm, &ys, &orders, 1, 1e-9, 1).unwrap();
         for (i, model) in phi.iter().enumerate() {
             assert_eq!(model.phi[0], ys[i]);
             assert_eq!(model.phi[1], 0.0);
@@ -115,7 +134,7 @@ mod tests {
         // Proposition 2's engine: with ℓ = n every tuple learns over all of
         // r, so all models coincide.
         let (fm, ys, orders) = fig1_setup();
-        let phi = learn_fixed(&fm, &ys, &orders, 8, 1e-9, 1);
+        let phi = learn_fixed(&fm, &ys, &orders, 8, 1e-9, 1).unwrap();
         for model in &phi[1..] {
             for (a, b) in model.phi.iter().zip(&phi[0].phi) {
                 assert!((a - b).abs() < 1e-9);
@@ -130,8 +149,8 @@ mod tests {
     #[test]
     fn ell_clamped_to_n() {
         let (fm, ys, orders) = fig1_setup();
-        let a = learn_fixed(&fm, &ys, &orders, 999, 1e-9, 1);
-        let b = learn_fixed(&fm, &ys, &orders, 8, 1e-9, 1);
+        let a = learn_fixed(&fm, &ys, &orders, 999, 1e-9, 1).unwrap();
+        let b = learn_fixed(&fm, &ys, &orders, 8, 1e-9, 1).unwrap();
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.phi, y.phi);
         }
@@ -140,8 +159,8 @@ mod tests {
     #[test]
     fn parallel_matches_serial() {
         let (fm, ys, orders) = fig1_setup();
-        let serial = learn_fixed(&fm, &ys, &orders, 4, 1e-9, 1);
-        let parallel = learn_fixed(&fm, &ys, &orders, 4, 1e-9, 4);
+        let serial = learn_fixed(&fm, &ys, &orders, 4, 1e-9, 1).unwrap();
+        let parallel = learn_fixed(&fm, &ys, &orders, 4, 1e-9, 4).unwrap();
         for (a, b) in serial.iter().zip(&parallel) {
             assert_eq!(a.phi, b.phi);
         }

@@ -12,26 +12,47 @@ use crate::EPS;
 ///
 /// Returns `None` when `A` is not (numerically) positive definite.
 pub fn cholesky(a: &Matrix) -> Option<Matrix> {
+    let mut l = Matrix::zeros(a.rows(), a.rows());
+    factor_shifted(a, 0.0, &mut l).then_some(l)
+}
+
+/// Writes the Cholesky factor of `a + shift·E` into the lower triangle
+/// (diagonal included) of `l`, leaving its upper triangle untouched.
+/// Returns `false` when the shifted matrix is not (numerically) positive
+/// definite. A shift of zero factors `a` itself.
+///
+/// Row-slice form of the textbook recurrence: entry `(i, j)` subtracts
+/// `l[i][k]·l[j][k]` for `k = 0, 1, …, j − 1` in that order.
+fn factor_shifted(a: &Matrix, shift: f64, l: &mut Matrix) -> bool {
     assert_eq!(a.rows(), a.cols(), "cholesky requires a square matrix");
     let n = a.rows();
-    let mut l = Matrix::zeros(n, n);
+    assert_eq!((l.rows(), l.cols()), (n, n), "factor must match the system");
+    let l = l.as_mut_slice();
     for i in 0..n {
-        for j in 0..=i {
-            let mut sum = a[(i, j)];
-            for k in 0..j {
-                sum -= l[(i, k)] * l[(j, k)];
+        let (done, rest) = l.split_at_mut(i * n);
+        let li = &mut rest[..n];
+        let ai = a.row(i);
+        for j in 0..i {
+            let lj = &done[j * n..(j + 1) * n];
+            let mut sum = ai[j];
+            for (p, q) in li[..j].iter().zip(&lj[..j]) {
+                sum -= p * q;
             }
-            if i == j {
-                if sum <= 0.0 || !sum.is_finite() {
-                    return None;
-                }
-                l[(i, i)] = sum.sqrt();
-            } else {
-                l[(i, j)] = sum / l[(j, j)];
-            }
+            li[j] = sum / lj[j];
         }
+        let mut sum = ai[i];
+        if shift > 0.0 {
+            sum += shift;
+        }
+        for p in &li[..i] {
+            sum -= p * p;
+        }
+        if sum <= 0.0 || !sum.is_finite() {
+            return false;
+        }
+        li[i] = sum.sqrt();
     }
-    Some(l)
+    true
 }
 
 /// Solves the SPD system `A x = b` via Cholesky.
@@ -45,27 +66,35 @@ pub fn solve_spd(a: &Matrix, b: &[f64]) -> Option<Vec<f64>> {
 
 /// Solves `A x = b` given the precomputed Cholesky factor `L` of `A`.
 pub fn cholesky_solve(l: &Matrix, b: &[f64]) -> Vec<f64> {
+    let mut x = vec![0.0; l.rows()];
+    cholesky_solve_into(l, b, &mut x);
+    x
+}
+
+/// [`cholesky_solve`] into `x`: forward substitution `L z = b` leaves `z`
+/// in `x`, back substitution `Lᵀ x = z` then overwrites it in place. Only
+/// the lower triangle of `l` is read.
+fn cholesky_solve_into(l: &Matrix, b: &[f64], x: &mut [f64]) {
     let n = l.rows();
     assert_eq!(b.len(), n);
-    // Forward substitution: L z = b.
-    let mut z = vec![0.0; n];
+    assert_eq!(x.len(), n);
+    x.copy_from_slice(b);
     for i in 0..n {
-        let mut sum = b[i];
-        for k in 0..i {
-            sum -= l[(i, k)] * z[k];
+        let li = l.row(i);
+        let mut sum = x[i];
+        for (p, q) in li[..i].iter().zip(&x[..i]) {
+            sum -= p * q;
         }
-        z[i] = sum / l[(i, i)];
+        x[i] = sum / li[i];
     }
-    // Back substitution: Lᵀ x = z.
-    let mut x = vec![0.0; n];
+    let l = l.as_slice();
     for i in (0..n).rev() {
-        let mut sum = z[i];
+        let mut sum = x[i];
         for k in i + 1..n {
-            sum -= l[(k, i)] * x[k];
+            sum -= l[k * n + i] * x[k];
         }
-        x[i] = sum / l[(i, i)];
+        x[i] = sum / l[i * n + i];
     }
-    x
 }
 
 /// Solves an SPD system that may be only semidefinite by escalating a
@@ -76,18 +105,35 @@ pub fn cholesky_solve(l: &Matrix, b: &[f64]) -> Vec<f64> {
 /// ridge term makes the system definite, but with the paper-faithful default
 /// `α = 1e-6` extreme data scales can still defeat it numerically. The shift
 /// sequence is `α, 10α, …` capped at `1e6` relative to the mean diagonal.
+/// Returns `None` when every shift fails, which requires non-finite input
+/// or a system that overflows.
 pub fn solve_spd_regularized(a: &Matrix, b: &[f64], alpha0: f64) -> Option<Vec<f64>> {
+    let n = a.rows();
+    let mut factor = Matrix::zeros(n, n);
+    let mut x = vec![0.0; n];
+    solve_spd_regularized_into(a, b, alpha0, &mut factor, &mut x).then_some(x)
+}
+
+/// [`solve_spd_regularized`] in caller-owned buffers: `factor` (`n × n`)
+/// is the Cholesky workspace and `x` (`n`) receives the solution. Performs
+/// no allocation, and the same floating-point operations in the same order
+/// as the allocating form, so both return the same bits. Returns `false`
+/// where that form returns `None` (`x` is then unspecified).
+pub fn solve_spd_regularized_into(
+    a: &Matrix,
+    b: &[f64],
+    alpha0: f64,
+    factor: &mut Matrix,
+    x: &mut [f64],
+) -> bool {
     let n = a.rows();
     let mean_diag = (0..n).map(|i| a[(i, i)].abs()).sum::<f64>().max(EPS) / n as f64;
     let mut shift = alpha0.max(0.0);
     for _ in 0..40 {
-        let mut shifted = a.clone();
-        if shift > 0.0 {
-            shifted.add_diag(shift);
-        }
-        if let Some(x) = solve_spd(&shifted, b) {
+        if factor_shifted(a, shift, factor) {
+            cholesky_solve_into(factor, b, x);
             if x.iter().all(|v| v.is_finite()) {
-                return Some(x);
+                return true;
             }
         }
         shift = if shift == 0.0 {
@@ -99,7 +145,7 @@ pub fn solve_spd_regularized(a: &Matrix, b: &[f64], alpha0: f64) -> Option<Vec<f
             break;
         }
     }
-    None
+    false
 }
 
 /// LU factorization with partial pivoting: `P A = L U`.
@@ -271,6 +317,77 @@ mod tests {
         assert!(cholesky(&g).is_none());
         let sol = solve_spd_regularized(&g, &[1.0, 2.0], 1e-6).expect("regularized");
         assert!(sol.iter().all(|v| v.is_finite()));
+    }
+
+    /// The textbook index-form Cholesky solve the slice kernels restate.
+    fn textbook_solve(a: &Matrix, b: &[f64]) -> Option<Vec<f64>> {
+        let n = a.rows();
+        let mut l = Matrix::zeros(n, n);
+        for i in 0..n {
+            for j in 0..=i {
+                let mut sum = a[(i, j)];
+                for k in 0..j {
+                    sum -= l[(i, k)] * l[(j, k)];
+                }
+                if i == j {
+                    if sum <= 0.0 || !sum.is_finite() {
+                        return None;
+                    }
+                    l[(i, i)] = sum.sqrt();
+                } else {
+                    l[(i, j)] = sum / l[(j, j)];
+                }
+            }
+        }
+        let mut z = vec![0.0; n];
+        for i in 0..n {
+            let mut sum = b[i];
+            for k in 0..i {
+                sum -= l[(i, k)] * z[k];
+            }
+            z[i] = sum / l[(i, i)];
+        }
+        let mut x = vec![0.0; n];
+        for i in (0..n).rev() {
+            let mut sum = z[i];
+            for k in i + 1..n {
+                sum -= l[(k, i)] * x[k];
+            }
+            x[i] = sum / l[(i, i)];
+        }
+        Some(x)
+    }
+
+    #[test]
+    fn slice_kernels_match_the_textbook_form_bitwise() {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut seed = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            (seed >> 11) as f64 / (1u64 << 53) as f64 * 10.0 - 5.0
+        };
+        for n in 1..8 {
+            let rows: Vec<Vec<f64>> = (0..n + 2)
+                .map(|_| (0..n).map(|_| next()).collect())
+                .collect();
+            let refs: Vec<&[f64]> = rows.iter().map(|r| r.as_slice()).collect();
+            let mut a = Matrix::from_rows(&refs).gram();
+            a.add_diag(0.5);
+            let b: Vec<f64> = (0..n).map(|_| next()).collect();
+            let want = bits(&textbook_solve(&a, &b).expect("SPD"));
+            assert_eq!(bits(&solve_spd(&a, &b).unwrap()), want, "n={n}");
+            // Dirty buffers never leak into the in-place form.
+            let mut factor = Matrix::from_vec(n, n, vec![7.5; n * n]);
+            let mut x = vec![f64::NAN; n];
+            assert!(solve_spd_regularized_into(&a, &b, 0.0, &mut factor, &mut x));
+            assert_eq!(bits(&x), want, "n={n}");
+        }
+        // An overflowing system fails every shift rather than returning
+        // non-finite coefficients.
+        let overflow = Matrix::from_rows(&[&[f64::INFINITY, 0.0], &[0.0, 1.0]]);
+        assert!(solve_spd_regularized(&overflow, &[1.0, 1.0], 1e-6).is_none());
     }
 
     #[test]

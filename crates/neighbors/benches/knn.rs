@@ -1,7 +1,7 @@
 //! Criterion micro-benchmarks for the neighbor-search substrate: the
 //! brute scan vs the owned KD-tree and VP-tree behind [`NeighborIndex`],
-//! the blocked distance kernels, and the flat-buffer neighbor-orders
-//! build the offline phase runs on.
+//! the blocked distance kernels, the deep-prefix kernel's scan-versus-tree
+//! cutover, and the flat-buffer neighbor-orders build.
 //!
 //! Every search benchmark first asserts the paths agree bitwise on the
 //! benched workload — the determinism contract is checked where the
@@ -15,7 +15,8 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use iim_neighbors::brute::FeatureMatrix;
 use iim_neighbors::{
-    sq_dist_f, sq_dist_many, IndexChoice, KnnScratch, NeighborIndex, NeighborOrders,
+    sq_dist_f, sq_dist_many, IndexChoice, KnnScratch, NeighborIndex, NeighborOrders, PrefixScratch,
+    Prefixes,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -137,9 +138,55 @@ fn bench_dist_kernels(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_orders_prefix(c: &mut Criterion) {
+    // One row of a deep learning prefix (the adaptive sweep's per-tuple
+    // enumeration), by the kd-tree's k-NN query and by the scan + select +
+    // sort path, per row. The ratio n / depth at which the tree starts to
+    // win sets `SCAN_DEPTH_RATIO`; the table in its rustdoc comes from
+    // this group.
+    let mut group = c.benchmark_group("orders_prefix_m4");
+    for n in [2_000usize, 9_000, 20_000, 50_000] {
+        let fm = random_matrix(n, 4, 41);
+        let kd = NeighborIndex::build(fm.clone(), IndexChoice::KdTree);
+        let brute = NeighborIndex::build(fm, IndexChoice::Brute);
+        for depth in [100usize, 1000] {
+            let scan = Prefixes::new(&brute, depth);
+            let mut scratch = PrefixScratch::new();
+            let mut row = vec![0u32; depth];
+            let mut found = Vec::new();
+            let mut knn = KnnScratch::new();
+            // Bitwise parity of the two paths before timing them.
+            for i in (0..n).step_by(n / 8) {
+                scan.fill(i, &mut scratch, &mut row);
+                kd.knn_with(kd.matrix().point(i), depth, &mut knn, &mut found);
+                assert!(row.iter().zip(&found).all(|(&p, nb)| p == nb.pos));
+            }
+            let cell = format!("n{n}_depth{depth}");
+            group.bench_function(BenchmarkId::new("kdtree", &cell), |b| {
+                let mut i = 0;
+                b.iter(|| {
+                    i = (i + 7919) % n;
+                    kd.knn_with(kd.matrix().point(i), depth, &mut knn, &mut found);
+                    black_box(&found);
+                });
+            });
+            group.bench_function(BenchmarkId::new("scan", &cell), |b| {
+                let mut i = 0;
+                b.iter(|| {
+                    i = (i + 7919) % n;
+                    scan.fill(i, &mut scratch, &mut row);
+                    black_box(&row);
+                });
+            });
+        }
+    }
+    group.finish();
+}
+
 fn bench_orders_build(c: &mut Criterion) {
-    // The offline precomputation: the flat-buffer build through the index
-    // (auto = KD-tree at this size) vs the forced brute selection.
+    // The stored orders: the flat-buffer build through the index (auto =
+    // KD-tree at this size, and depth 32 is below the scan cutover) vs the
+    // brute index, whose rows always scan.
     let fm = random_matrix(4096, 4, 3);
     let mut group = c.benchmark_group("orders_build_n4096_m4_depth32");
     group.bench_function("auto_kdtree", |b| {
@@ -161,6 +208,6 @@ fn bench_orders_build(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_index_knn, bench_dist_kernels, bench_orders_build
+    targets = bench_index_knn, bench_dist_kernels, bench_orders_prefix, bench_orders_build
 }
 criterion_main!(benches);

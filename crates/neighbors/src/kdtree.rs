@@ -34,11 +34,8 @@ struct Node {
 }
 
 /// The tree *structure* alone — flattened nodes plus the point permutation
-/// — borrowed against whatever [`FeatureMatrix`] it was built from.
-///
-/// Kept separate from the owning [`KdTree`] so transient consumers (the
-/// [`NeighborOrders`](crate::orders::NeighborOrders) offline build) can
-/// index a borrowed matrix without cloning it.
+/// — queried against the [`FeatureMatrix`] it was built from, which the
+/// owning [`KdTree`] holds next to it.
 pub(crate) struct TreeNodes {
     nodes: Vec<Node>,
     idx: Vec<u32>,
@@ -120,29 +117,6 @@ impl TreeNodes {
         nodes[node_id as usize].left = left;
         nodes[node_id as usize].right = right;
         node_id
-    }
-
-    /// Top-k query against `points` (the matrix this structure was built
-    /// from) into caller-owned scratch + output buffers.
-    pub(crate) fn knn_with(
-        &self,
-        points: &FeatureMatrix,
-        query: &[f64],
-        k: usize,
-        scratch: &mut KnnScratch,
-        out: &mut Vec<Neighbor>,
-    ) {
-        out.clear();
-        scratch.heap.clear();
-        if k == 0 || points.is_empty() {
-            return;
-        }
-        let k = k.min(points.len());
-        self.search(points, 1, query, k, &mut scratch.heap);
-        out.extend(scratch.drain_sorted().iter().map(|e| Neighbor {
-            pos: e.pos,
-            dist: e.sq.sqrt(),
-        }));
     }
 
     fn search(
@@ -244,12 +218,6 @@ impl KdTree {
     pub fn rebuild(&mut self) {
         self.tree = TreeNodes::build(&self.points);
         self.indexed_len = self.points.len();
-    }
-
-    /// The flattened tree structure (crate-internal: the neighbor-orders
-    /// build queries it against the owned matrix directly).
-    pub(crate) fn nodes(&self) -> &TreeNodes {
-        &self.tree
     }
 
     /// The k nearest points to `query`, ascending by `(distance, position)`

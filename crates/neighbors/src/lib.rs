@@ -15,11 +15,12 @@
 //! * [`vptree`] — a deterministic vantage-point tree whose metric-space
 //!   pruning keeps paying past the KD-tree's dimensionality cliff.
 //! * [`index`] — [`NeighborIndex`]: the brute/kd/vp selection every hot
-//!   path (IIM serving, the kNN-family baselines, order construction)
+//!   path (IIM serving, the kNN-family baselines, prefix enumeration)
 //!   runs on, with bit-identical results across variants.
-//! * [`orders`] — fully sorted per-tuple neighbor orders, precomputed once
-//!   and shared across the adaptive sweep (§V-A1 "precompute once the
-//!   nearest neighbors for all tuples").
+//! * [`orders`] — fully sorted per-tuple neighbor prefixes: the per-row
+//!   kernel ([`Prefixes`]) the adaptive sweep calls inside its per-tuple
+//!   map, and the stored shallow orders ([`NeighborOrders`]) built by the
+//!   same kernel.
 
 pub mod brute;
 pub mod dist;
@@ -34,5 +35,5 @@ pub use dist::{euclidean_f, euclidean_full, sq_dist_f, sq_dist_many, sq_dist_on}
 pub use heap::KnnScratch;
 pub use index::{auto_choice, auto_prefers_kdtree, rebuild_threshold, IndexChoice, NeighborIndex};
 pub use kdtree::KdTree;
-pub use orders::NeighborOrders;
+pub use orders::{NeighborOrders, PrefixScratch, Prefixes, SCAN_DEPTH_RATIO};
 pub use vptree::VpTree;

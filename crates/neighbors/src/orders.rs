@@ -1,31 +1,240 @@
-//! Precomputed sorted neighbor orders.
+//! Sorted neighbor prefixes: one per-row kernel, and the stored orders.
 //!
-//! Algorithm 3's complexity analysis (§V-A1) starts with "we can precompute
-//! once the nearest neighbors for all tuples in r … and directly use them in
-//! learning individual models for a certain ℓ". [`NeighborOrders`] is that
-//! precomputation: for every candidate tuple, its `depth` nearest fellow
-//! candidates in ascending distance order (self first, at distance zero) —
-//! exactly the prefix property `NN(tᵢ, F, ℓ) ⊂ NN(tᵢ, F, ℓ+h)` (Formula 13)
-//! the incremental sweep relies on.
+//! Algorithm 3 (§V-A1) starts from each tuple's neighbors in ascending
+//! distance, `NN(tᵢ, F, 1) ⊂ NN(tᵢ, F, 2) ⊂ …` (Formula 13), the prefix
+//! property the incremental sweep relies on. [`Prefixes`] produces one
+//! tuple's `depth` nearest fellow candidates in ascending
+//! `(distance, position)` order, into a caller's row buffer, with
+//! reusable per-worker [`PrefixScratch`]. The adaptive sweep calls it
+//! inside its per-tuple map, so an attribute's fit holds O(threads · n)
+//! of neighbor state, not an n × ℓ_max matrix. [`NeighborOrders`] stores
+//! the rows of shallow orders (the k + 1 validator orders, fixed-ℓ
+//! learning) in one flat `n × depth` buffer filled by the same kernel.
 //!
-//! Construction writes each tuple's prefix straight into one flat
-//! `n × depth` buffer ([`iim_exec::Pool::parallel_fill_rows`]) — no
-//! per-row `Vec`s, no concatenation — and the general path routes through
-//! the same KD-tree the serving index uses when
-//! [`auto_prefers_kdtree`](crate::auto_prefers_kdtree) says so,
-//! replacing the O(n²) all-pairs scan with n · O(log n + depth) queries.
-//! Every path (line sweep, brute selection, tree queries; serial or
-//! parallel) produces bitwise-identical orders.
+//! The kernel picks one of three paths per matrix and depth:
+//!
+//! * one feature: a sorted-line sweep, O(depth) per row after one sort;
+//! * `depth · SCAN_DEPTH_RATIO ≥ n`, or no tree to ask: one blocked
+//!   [`sq_dist_many`] scan, then `select_nth_unstable` and
+//!   `sort_unstable` over packed (total-order distance bits, position)
+//!   keys;
+//! * otherwise the stored KD-tree's or VP-tree's k-NN query.
+//!
+//! The scan and the trees order candidates by the same
+//! `(squared distance, position)` key, so they return the same rows for
+//! every worker count. The line sweep orders by absolute coordinate gap,
+//! ties to the lower position, and always puts the tuple itself first:
+//! among exact duplicates of a tuple, the other paths order by position
+//! instead.
 
 use crate::brute::FeatureMatrix;
 use crate::dist::sq_dist_many;
-use crate::heap::KnnScratch;
-use crate::index::{auto_choice, IndexChoice, NeighborIndex};
-use crate::kdtree::TreeNodes;
-use crate::vptree::VpNodes;
+use crate::heap::{KnnScratch, SCAN_TILE};
+use crate::index::{IndexChoice, NeighborIndex};
 use crate::Neighbor;
 use iim_exec::Pool;
 use std::cell::Cell;
+
+/// Scan-versus-tree cutover of the prefix kernel: a row of `depth`
+/// neighbors among `n` candidates is enumerated by a full scan plus
+/// selection when `depth · SCAN_DEPTH_RATIO ≥ n`, and by a tree query
+/// below that.
+///
+/// A deep tree query visits most leaves anyway and pays a heap push per
+/// candidate, while the scan's cost grows with `n` and barely with the
+/// depth. The `orders_prefix_m4` criterion group (`cargo bench -p
+/// iim-neighbors --bench knn`) times both per row, in µs, on one thread of
+/// a 2-vCPU Xeon VM (uniform points, m = 4):
+///
+/// | depth | n   | n / depth | kd-tree | scan |
+/// |-------|-----|-----------|---------|------|
+/// | 100   | 2k  | 20        | 26      | 27   |
+/// | 100   | 9k  | 90        | 29      | 108  |
+/// | 100   | 20k | 200       | 40      | 183  |
+/// | 100   | 50k | 500       | 37      | 525  |
+/// | 1000  | 2k  | 2         | 187     | 52   |
+/// | 1000  | 9k  | 9         | 306     | 146  |
+/// | 1000  | 20k | 20        | 294     | 221  |
+/// | 1000  | 50k | 50        | 327     | 511  |
+///
+/// The paths cross near n = 20 · depth at depth 100 and n ≈ 27 · depth
+/// at depth 1000; the cutover sits between.
+pub const SCAN_DEPTH_RATIO: usize = 24;
+
+/// Whether the kernel scans (rather than asks a tree) for `depth`
+/// neighbors among `n` candidates.
+#[inline]
+fn scans(n: usize, depth: usize) -> bool {
+    depth.saturating_mul(SCAN_DEPTH_RATIO) >= n
+}
+
+/// How [`Prefixes::fill`] produces a row.
+enum Path<'a> {
+    /// One feature: positions sorted by coordinate, and each position's
+    /// rank in that order.
+    Line { by_x: Vec<u32>, rank_of: Vec<u32> },
+    /// Blocked distance scan, select, sort.
+    Scan,
+    /// The index's own k-NN query (a KD-tree or VP-tree).
+    Tree(&'a NeighborIndex),
+}
+
+/// The per-row prefix kernel over an index's points: each call writes one
+/// tuple's `depth` nearest candidates (see the module docs for the paths).
+pub struct Prefixes<'a> {
+    fm: &'a FeatureMatrix,
+    depth: usize,
+    path: Path<'a>,
+}
+
+/// Reusable buffers for [`Prefixes::fill`]: the scan's keys and the tree
+/// query's selection heap and output. Contents never influence results.
+#[derive(Default)]
+pub struct PrefixScratch {
+    keys: Vec<u128>,
+    knn: KnnScratch,
+    found: Vec<Neighbor>,
+}
+
+impl PrefixScratch {
+    /// An empty scratch; buffers grow to steady state on first use.
+    pub fn new() -> Self {
+        Self::default()
+    }
+}
+
+impl<'a> Prefixes<'a> {
+    /// The kernel for rows of `depth` (clamped to the point count) over
+    /// `index`'s points. A one-feature matrix is sorted here, once.
+    pub fn new(index: &'a NeighborIndex, depth: usize) -> Self {
+        let fm = index.matrix();
+        let n = fm.len();
+        let depth = depth.min(n);
+        let path = if fm.n_features() == 1 {
+            let mut by_x: Vec<u32> = (0..n as u32).collect();
+            by_x.sort_by(|&a, &b| {
+                fm.point(a as usize)[0]
+                    .total_cmp(&fm.point(b as usize)[0])
+                    .then(a.cmp(&b))
+            });
+            let mut rank_of = vec![0u32; n];
+            for (rank, &p) in by_x.iter().enumerate() {
+                rank_of[p as usize] = rank as u32;
+            }
+            Path::Line { by_x, rank_of }
+        } else if scans(n, depth) || matches!(index, NeighborIndex::Brute(_)) {
+            Path::Scan
+        } else {
+            Path::Tree(index)
+        };
+        Self { fm, depth, path }
+    }
+
+    /// Row length: the clamped depth.
+    pub fn depth(&self) -> usize {
+        self.depth
+    }
+
+    /// Writes point `i`'s `depth` nearest positions into `row`
+    /// (`row.len() == depth`), ascending by `(distance, position)`.
+    pub fn fill(&self, i: usize, scratch: &mut PrefixScratch, row: &mut [u32]) {
+        assert_eq!(row.len(), self.depth, "row length must equal the depth");
+        if self.depth == 0 {
+            return;
+        }
+        match &self.path {
+            Path::Line { by_x, rank_of } => self.fill_line(by_x, rank_of, i, row),
+            Path::Scan => self.fill_scan(i, &mut scratch.keys, row),
+            Path::Tree(index) => {
+                let found = &mut scratch.found;
+                index.knn_with(self.fm.point(i), self.depth, &mut scratch.knn, found);
+                for (slot, nb) in row.iter_mut().zip(found.iter()) {
+                    *slot = nb.pos;
+                }
+            }
+        }
+    }
+
+    /// One-dimensional path: a point's neighbors are a window around its
+    /// rank in coordinate order, merged by two-pointer expansion.
+    fn fill_line(&self, by_x: &[u32], rank_of: &[u32], me: usize, row: &mut [u32]) {
+        let n = by_x.len();
+        let coord = |pos: u32| self.fm.point(pos as usize)[0];
+        let rank = rank_of[me] as usize;
+        let x = coord(me as u32);
+        row[0] = me as u32;
+        let (mut lo, mut hi) = (rank, rank); // expanding window [lo, hi]
+        for s in row.iter_mut().skip(1) {
+            let left_d = if lo > 0 {
+                (x - coord(by_x[lo - 1])).abs()
+            } else {
+                f64::INFINITY
+            };
+            let right_d = if hi + 1 < n {
+                (coord(by_x[hi + 1]) - x).abs()
+            } else {
+                f64::INFINITY
+            };
+            // Tie-break mirrors the other paths: smaller position wins.
+            let take_left = match left_d.total_cmp(&right_d) {
+                std::cmp::Ordering::Less => true,
+                std::cmp::Ordering::Greater => false,
+                std::cmp::Ordering::Equal => hi + 1 >= n || (lo > 0 && by_x[lo - 1] < by_x[hi + 1]),
+            };
+            if take_left {
+                lo -= 1;
+                *s = by_x[lo];
+            } else {
+                hi += 1;
+                *s = by_x[hi];
+            }
+        }
+    }
+
+    /// Scan path: squared distances to every point in tiles of the batched
+    /// kernel, packed with their positions into keys whose integer order is
+    /// the `(f64::total_cmp, position)` order; then the `depth` smallest
+    /// keys are selected and sorted.
+    fn fill_scan(&self, i: usize, keys: &mut Vec<u128>, row: &mut [u32]) {
+        let fm = self.fm;
+        let m = fm.n_features();
+        let q = fm.point(i);
+        let mut buf = [0.0f64; SCAN_TILE];
+        keys.clear();
+        for (t, tile) in fm.data().chunks(SCAN_TILE * m).enumerate() {
+            let rows = tile.len() / m;
+            sq_dist_many(q, tile, &mut buf[..rows]);
+            let base = t * SCAN_TILE;
+            keys.extend(
+                buf[..rows]
+                    .iter()
+                    .enumerate()
+                    .map(|(r, &sq)| (u128::from(total_order_bits(sq)) << 32) | (base + r) as u128),
+            );
+        }
+        if self.depth < keys.len() {
+            keys.select_nth_unstable(self.depth - 1);
+        }
+        let best = &mut keys[..self.depth];
+        best.sort_unstable();
+        for (slot, &key) in row.iter_mut().zip(best.iter()) {
+            *slot = key as u32;
+        }
+    }
+}
+
+/// The bits of `x` mapped so that unsigned integer order is
+/// [`f64::total_cmp`] order: negative values have every bit flipped,
+/// the others only their sign bit.
+#[inline]
+fn total_order_bits(x: f64) -> u64 {
+    let bits = x.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
+}
 
 /// For each point of a [`FeatureMatrix`], its `depth` nearest points
 /// (including itself, first), ascending by `(distance, position)`.
@@ -40,82 +249,41 @@ pub struct NeighborOrders {
 impl NeighborOrders {
     /// Computes orders of depth `depth` (clamped to the candidate count) on
     /// the process-default pool ([`iim_exec::global`]).
-    ///
-    /// Single-feature matrices use an O(n log n + n·depth) sorted-line
-    /// sweep (the SN dataset is 100k tuples on one feature); otherwise a
-    /// per-point top-k selection runs — through a KD-tree when the
-    /// auto-selection heuristic picks one, else as a brute scan.
     pub fn build(fm: &FeatureMatrix, depth: usize) -> Self {
         Self::build_on(&iim_exec::global(), fm, depth)
     }
 
     /// [`NeighborOrders::build`] on an explicit pool.
     ///
-    /// Each point's sorted prefix is computed independently and written
-    /// into its own row of the flat buffer, so the result is identical for
-    /// every worker count — and for every search path (see the module
-    /// docs).
+    /// Builds the index [`IndexChoice::Auto`] picks when the kernel would
+    /// ask a tree, else scans; each point's row is computed independently,
+    /// so the result is identical for every worker count (see the module
+    /// docs for the paths).
     pub fn build_on(pool: &Pool, fm: &FeatureMatrix, depth: usize) -> Self {
-        let n = fm.len();
-        let depth = depth.min(n);
-        if n == 0 || depth == 0 {
-            return Self {
-                n,
-                depth,
-                order: Vec::new(),
-            };
-        }
-        let mut order = vec![0u32; n * depth];
-        if fm.n_features() == 1 {
-            fill_line(pool, fm, depth, &mut order);
+        let choice = if fm.n_features() > 1 && !scans(fm.len(), depth) {
+            IndexChoice::Auto
         } else {
-            match auto_choice(n, fm.n_features()) {
-                IndexChoice::KdTree => {
-                    let tree = TreeNodes::build(fm);
-                    fill_tree(pool, fm, &tree, depth, &mut order);
-                }
-                IndexChoice::VpTree => {
-                    let tree = VpNodes::build(fm);
-                    fill_vp(pool, fm, &tree, depth, &mut order);
-                }
-                _ => fill_brute(pool, fm, depth, &mut order),
-            }
-        }
-        Self { n, depth, order }
+            IndexChoice::Brute
+        };
+        Self::build_from_index(pool, &NeighborIndex::build(fm.clone(), choice), depth)
     }
 
     /// Builds orders *through an existing serving index*, so the offline
-    /// phase reuses the KD-tree the fitted model will store instead of
-    /// scanning all pairs (or building a second tree).
+    /// phase reuses the tree the fitted model will store instead of
+    /// building a second one.
     ///
     /// Output is bitwise-identical to [`NeighborOrders::build_on`] over
     /// the same matrix, whatever the index variant.
     pub fn build_from_index(pool: &Pool, index: &NeighborIndex, depth: usize) -> Self {
-        let fm = index.matrix();
-        let n = fm.len();
-        let depth = depth.min(n);
-        if n == 0 || depth == 0 {
-            return Self {
-                n,
-                depth,
-                order: Vec::new(),
-            };
+        thread_local! {
+            static SCRATCH: Cell<PrefixScratch> = Cell::new(PrefixScratch::new());
         }
+        let prefixes = Prefixes::new(index, depth);
+        let (n, depth) = (index.len(), prefixes.depth());
         let mut order = vec![0u32; n * depth];
-        if fm.n_features() == 1 {
-            // The sorted-line sweep beats any index in one dimension.
-            fill_line(pool, fm, depth, &mut order);
-        } else {
-            match index {
-                NeighborIndex::Brute(fm) => fill_brute(pool, fm, depth, &mut order),
-                NeighborIndex::KdTree(tree) => {
-                    fill_tree(pool, tree.points(), tree.nodes(), depth, &mut order)
-                }
-                NeighborIndex::VpTree(tree) => {
-                    fill_vp(pool, tree.points(), tree.nodes(), depth, &mut order)
-                }
-            }
-        }
+        pool.parallel_fill_rows(depth, &mut order, |i, row| {
+            iim_exec::with_tls_scratch(&SCRATCH, |scratch| prefixes.fill(i, scratch, row));
+        });
         Self { n, depth, order }
     }
 
@@ -142,119 +310,9 @@ impl NeighborOrders {
     }
 }
 
-/// One-dimensional path: sort positions by coordinate once; a point's
-/// neighbors are a window around it, merged by two-pointer expansion.
-fn fill_line(pool: &Pool, fm: &FeatureMatrix, depth: usize, order: &mut [u32]) {
-    let n = fm.len();
-    let mut by_x: Vec<u32> = (0..n as u32).collect();
-    by_x.sort_by(|&a, &b| {
-        fm.point(a as usize)[0]
-            .total_cmp(&fm.point(b as usize)[0])
-            .then(a.cmp(&b))
-    });
-    let mut rank_of = vec![0usize; n];
-    for (rank, &p) in by_x.iter().enumerate() {
-        rank_of[p as usize] = rank;
-    }
-    let coord = |pos: u32| fm.point(pos as usize)[0];
-    pool.parallel_fill_rows(depth, order, |me, row| {
-        let rank = rank_of[me];
-        let x = coord(me as u32);
-        row[0] = me as u32;
-        let (mut lo, mut hi) = (rank, rank); // expanding window [lo, hi]
-        for s in row.iter_mut().skip(1) {
-            let left_d = if lo > 0 {
-                (x - coord(by_x[lo - 1])).abs()
-            } else {
-                f64::INFINITY
-            };
-            let right_d = if hi + 1 < n {
-                (coord(by_x[hi + 1]) - x).abs()
-            } else {
-                f64::INFINITY
-            };
-            // Tie-break mirrors the brute path: smaller position wins.
-            let take_left = match left_d.partial_cmp(&right_d).expect("finite") {
-                std::cmp::Ordering::Less => true,
-                std::cmp::Ordering::Greater => false,
-                std::cmp::Ordering::Equal => hi + 1 >= n || (lo > 0 && by_x[lo - 1] < by_x[hi + 1]),
-            };
-            if take_left {
-                lo -= 1;
-                *s = by_x[lo];
-            } else {
-                hi += 1;
-                *s = by_x[hi];
-            }
-        }
-    });
-}
-
-/// Brute path: per-point top-`depth` selection over all pairs. Selection
-/// scratch is taken from per-thread storage, so no per-row result `Vec`
-/// nor per-row scratch allocation survives steady state.
-fn fill_brute(pool: &Pool, fm: &FeatureMatrix, depth: usize, order: &mut [u32]) {
-    let n = fm.len();
-    thread_local! {
-        static SCRATCH: Cell<(Vec<f64>, Vec<(f64, u32)>)> = Cell::new(Default::default());
-    }
-    pool.parallel_fill_rows(depth, order, |i, row| {
-        iim_exec::with_tls_scratch(&SCRATCH, |(dists, scratch)| {
-            let q = fm.point(i);
-            // Batched kernel over the whole contiguous block — bitwise the
-            // scalar per-pair distances, but the scan autovectorizes.
-            dists.resize(n, 0.0);
-            sq_dist_many(q, fm.data(), dists);
-            scratch.clear();
-            scratch.extend(dists.iter().enumerate().map(|(p, &d)| (d, p as u32)));
-            if depth < n {
-                scratch.select_nth_unstable_by(depth - 1, |a, b| {
-                    a.0.total_cmp(&b.0).then(a.1.cmp(&b.1))
-                });
-                scratch.truncate(depth);
-            }
-            scratch.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-            for (slot, (_, p)) in row.iter_mut().zip(scratch.iter()) {
-                *slot = *p;
-            }
-        });
-    });
-}
-
-/// Index path: per-point KD-tree query written straight into the row.
-fn fill_tree(pool: &Pool, fm: &FeatureMatrix, tree: &TreeNodes, depth: usize, order: &mut [u32]) {
-    thread_local! {
-        static SCRATCH: Cell<(KnnScratch, Vec<Neighbor>)> = Cell::new(Default::default());
-    }
-    pool.parallel_fill_rows(depth, order, |i, row| {
-        iim_exec::with_tls_scratch(&SCRATCH, |(knn, out)| {
-            tree.knn_with(fm, fm.point(i), depth, knn, out);
-            for (slot, nb) in row.iter_mut().zip(out.iter()) {
-                *slot = nb.pos;
-            }
-        });
-    });
-}
-
-/// Index path: per-point VP-tree query written straight into the row.
-fn fill_vp(pool: &Pool, fm: &FeatureMatrix, tree: &VpNodes, depth: usize, order: &mut [u32]) {
-    thread_local! {
-        static SCRATCH: Cell<(KnnScratch, Vec<Neighbor>)> = Cell::new(Default::default());
-    }
-    pool.parallel_fill_rows(depth, order, |i, row| {
-        iim_exec::with_tls_scratch(&SCRATCH, |(knn, out)| {
-            tree.knn_with(fm.point(i), depth, knn, out);
-            for (slot, nb) in row.iter_mut().zip(out.iter()) {
-                *slot = nb.pos;
-            }
-        });
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::index::IndexChoice;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -262,6 +320,31 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(seed);
         let data: Vec<f64> = (0..n * f).map(|_| rng.gen_range(-5.0..5.0)).collect();
         FeatureMatrix::from_dense(f, (0..n as u32).collect::<Vec<u32>>(), data)
+    }
+
+    /// Every row through the scan path, whatever the matrix and depth.
+    fn scan_rows(fm: &FeatureMatrix, depth: usize) -> Vec<u32> {
+        let scan = Prefixes {
+            fm,
+            depth,
+            path: Path::Scan,
+        };
+        let mut scratch = PrefixScratch::new();
+        let mut rows = vec![0u32; fm.len() * depth];
+        for (i, row) in rows.chunks_mut(depth).enumerate() {
+            scan.fill(i, &mut scratch, row);
+        }
+        rows
+    }
+
+    /// `fm` with every 50th point replaced by a copy of point 5.
+    fn with_duplicates(fm: &FeatureMatrix) -> FeatureMatrix {
+        let mut data = Vec::new();
+        for i in 0..fm.len() {
+            let src = if i % 50 == 0 { 5 } else { i };
+            data.extend_from_slice(fm.point(src));
+        }
+        FeatureMatrix::from_dense(fm.n_features(), fm.row_ids().to_vec(), data)
     }
 
     #[test]
@@ -295,9 +378,8 @@ mod tests {
     fn line_sweep_equals_general() {
         let fm = random_matrix(100, 1, 3);
         let a = NeighborOrders::build(&fm, 15);
-        // Force the brute general path on the same 1-feature matrix.
-        let mut order_b = vec![0u32; 100 * 15];
-        fill_brute(&Pool::serial(), &fm, 15, &mut order_b);
+        // Force the scan path on the same 1-feature matrix.
+        let order_b = scan_rows(&fm, 15);
         for i in 0..100 {
             assert_eq!(
                 a.neighbors_of(i),
@@ -309,27 +391,64 @@ mod tests {
 
     #[test]
     fn tree_path_equals_brute_path() {
-        // Above the auto threshold the general build routes through the
-        // tree; it must agree with the brute fill bitwise — including the
-        // tie-breaks exercised by duplicated points.
-        let mut fm = random_matrix(600, 3, 17);
-        let dup: Vec<f64> = fm.point(5).to_vec();
-        let mut data: Vec<f64> = Vec::new();
+        // Below the scan cutover the build routes through the tree; it must
+        // agree with the scan bitwise, including the tie-breaks exercised
+        // by duplicated points.
+        let fm = with_duplicates(&random_matrix(600, 3, 17));
+        assert!(!scans(600, 12));
+        let auto = NeighborOrders::build_on(&Pool::serial(), &fm, 12);
+        let scan = scan_rows(&fm, 12);
         for i in 0..600 {
-            if i % 50 == 0 {
-                data.extend_from_slice(&dup);
-            } else {
-                data.extend_from_slice(fm.point(i));
+            assert_eq!(auto.neighbors_of(i), &scan[i * 12..(i + 1) * 12], "{i}");
+        }
+    }
+
+    #[test]
+    fn kernel_paths_agree_on_both_sides_of_the_cutover() {
+        // n = 700: depths below `cut` ask a tree, `cut` and up scan.
+        let fm = with_duplicates(&random_matrix(700, 3, 31));
+        let cut = 700usize.div_ceil(SCAN_DEPTH_RATIO);
+        for depth in [1usize, 5, cut - 1, cut, 400, 700] {
+            let want = scan_rows(&fm, depth);
+            for choice in [IndexChoice::Brute, IndexChoice::KdTree, IndexChoice::VpTree] {
+                let index = NeighborIndex::build(fm.clone(), choice);
+                let prefixes = Prefixes::new(&index, depth);
+                let tree = matches!(prefixes.path, Path::Tree(_));
+                assert_eq!(tree, choice != IndexChoice::Brute && depth < cut);
+                let mut scratch = PrefixScratch::new();
+                let mut row = vec![0u32; depth];
+                for i in (0..700).step_by(13) {
+                    prefixes.fill(i, &mut scratch, &mut row);
+                    assert_eq!(
+                        row,
+                        &want[i * depth..(i + 1) * depth],
+                        "{choice:?} {depth} {i}"
+                    );
+                }
             }
         }
-        fm = FeatureMatrix::from_dense(3, (0..600u32).collect::<Vec<u32>>(), data);
+    }
 
-        let auto = NeighborOrders::build_on(&Pool::serial(), &fm, 12);
-        let mut brute = vec![0u32; 600 * 12];
-        fill_brute(&Pool::serial(), &fm, 12, &mut brute);
-        for i in 0..600 {
-            assert_eq!(auto.neighbors_of(i), &brute[i * 12..(i + 1) * 12], "{i}");
-        }
+    #[test]
+    fn total_order_bits_sort_like_total_cmp() {
+        let mut xs = vec![
+            f64::NEG_INFINITY,
+            -3.5,
+            -f64::MIN_POSITIVE,
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE,
+            1.0,
+            2.5e300,
+            f64::INFINITY,
+            f64::NAN,
+        ];
+        xs.reverse();
+        let mut by_bits = xs.clone();
+        by_bits.sort_by_key(|&x| total_order_bits(x));
+        xs.sort_by(f64::total_cmp);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&by_bits), bits(&xs));
     }
 
     #[test]

@@ -90,9 +90,8 @@ struct Node {
 
 /// The tree *structure* alone — flattened nodes, the point permutation,
 /// and the points gathered into permutation order so every scan is
-/// contiguous. Self-contained at query time; kept separate from the
-/// owning [`VpTree`] so the neighbor-orders build can index a borrowed
-/// matrix without cloning it.
+/// contiguous. Self-contained at query time; the owning [`VpTree`] keeps
+/// it next to the matrix so a rebuild can replace it wholesale.
 pub(crate) struct VpNodes {
     nodes: Vec<Node>,
     idx: Vec<u32>,
@@ -181,27 +180,6 @@ impl VpNodes {
         nodes[node_id as usize].inside = inside;
         nodes[node_id as usize].outside = outside;
         node_id
-    }
-
-    /// Top-k query into caller-owned scratch + output buffers.
-    pub(crate) fn knn_with(
-        &self,
-        query: &[f64],
-        k: usize,
-        scratch: &mut KnnScratch,
-        out: &mut Vec<Neighbor>,
-    ) {
-        out.clear();
-        scratch.heap.clear();
-        if k == 0 || self.idx.is_empty() {
-            return;
-        }
-        let k = k.min(self.idx.len());
-        self.search(1, query, k, &mut scratch.heap);
-        out.extend(scratch.drain_sorted().iter().map(|e| Neighbor {
-            pos: e.pos,
-            dist: e.sq.sqrt(),
-        }));
     }
 
     pub(crate) fn search(
@@ -322,12 +300,6 @@ impl VpTree {
     pub fn rebuild(&mut self) {
         self.tree = VpNodes::build(&self.points);
         self.indexed_len = self.points.len();
-    }
-
-    /// The flattened tree structure (crate-internal: the neighbor-orders
-    /// build queries it directly).
-    pub(crate) fn nodes(&self) -> &VpNodes {
-        &self.tree
     }
 
     /// The k nearest points to `query`, ascending by `(distance, position)`

@@ -126,6 +126,33 @@ fn methods_exits_zero_and_lists_iim() {
 }
 
 #[test]
+fn overflowing_cell_is_a_data_error_not_a_panic() {
+    // One finite 1e200 feature value overflows the Gram sums of every
+    // learning set it joins: a typed error, exit 1, no panic.
+    let dir = temp_dir("overflow");
+    let mut body = String::from("a,b,y\n");
+    for i in 0..200 {
+        let a = if i == 17 { 1e200 } else { i as f64 * 0.25 };
+        let b = (i % 10) as f64;
+        let y = 2.0 * (i as f64 * 0.25) - b + 3.0;
+        match i {
+            40 | 90 => body.push_str(&format!("{a},{b},\n")),
+            _ => body.push_str(&format!("{a},{b},{y}\n")),
+        }
+    }
+    let input = dir.join("overflow.csv");
+    std::fs::write(&input, body).unwrap();
+    let out = Command::new(iim_bin())
+        .args(["impute", "--method", "IIM", input.to_str().unwrap()])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("no finite solution"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+#[test]
 fn error_paths_use_exit_code_conventions() {
     // Usage errors: 2.
     let out = Command::new(iim_bin())

@@ -9,7 +9,7 @@
 use iim::prelude::*;
 use iim_core::adaptive::adaptive_learn_detailed;
 use iim_neighbors::brute::FeatureMatrix;
-use iim_neighbors::NeighborOrders;
+use iim_neighbors::{IndexChoice, NeighborIndex};
 
 fn fig1_task() -> (Relation, Vec<Option<f64>>) {
     iim::data::paper_fig1()
@@ -74,17 +74,9 @@ fn example_4_adaptive_selection() {
     let rows: Vec<u32> = (0..8).collect();
     let fm = FeatureMatrix::gather(&rel, &[0], &rows);
     let ys: Vec<f64> = (0..8).map(|i| rel.value(i, 1)).collect();
-    let orders = NeighborOrders::build(&fm, 8);
-    let (out, costs) = adaptive_learn_detailed(
-        &fm,
-        &ys,
-        &orders,
-        3,
-        &AdaptiveConfig::default(),
-        1e-9,
-        1,
-        true,
-    );
+    let index = NeighborIndex::build(fm, IndexChoice::Auto);
+    let (out, costs) =
+        adaptive_learn_detailed(&index, &ys, 3, &AdaptiveConfig::default(), 1e-9, 1, true).unwrap();
     // ℓ*₂ = 4 with φ₂ = (5.56, -0.87).
     assert_eq!(out.chosen_ell[1], 4);
     assert!((out.models[1].phi[0] - 5.56).abs() < 0.01);
@@ -99,14 +91,14 @@ fn example_5_stepping_keeps_the_selection() {
     let rows: Vec<u32> = (0..8).collect();
     let fm = FeatureMatrix::gather(&rel, &[0], &rows);
     let ys: Vec<f64> = (0..8).map(|i| rel.value(i, 1)).collect();
-    let orders = NeighborOrders::build(&fm, 8);
+    let index = NeighborIndex::build(fm, IndexChoice::Auto);
     let cfg = AdaptiveConfig {
         step: 3,
         ell_max: None,
         incremental: true,
         ..AdaptiveConfig::default()
     };
-    let out = iim::core::adaptive_learn(&fm, &ys, &orders, 3, &cfg, 1e-9, 1);
+    let out = iim::core::adaptive_learn(&index, &ys, 3, &cfg, 1e-9, 1).unwrap();
     assert_eq!(out.swept, vec![1, 4, 7]);
     assert_eq!(out.chosen_ell[1], 4);
 }
@@ -120,7 +112,7 @@ fn example_6_incremental_gram_updates() {
     let rows: Vec<u32> = (0..8).collect();
     let fm = FeatureMatrix::gather(&rel, &[0], &rows);
     let ys: Vec<f64> = (0..8).map(|i| rel.value(i, 1)).collect();
-    let orders = NeighborOrders::build(&fm, 8);
+    let index = NeighborIndex::build(fm, IndexChoice::Auto);
     for step in [1usize, 2, 3] {
         let inc = AdaptiveConfig {
             step,
@@ -134,8 +126,8 @@ fn example_6_incremental_gram_updates() {
             incremental: false,
             ..AdaptiveConfig::default()
         };
-        let a = iim::core::adaptive_learn(&fm, &ys, &orders, 3, &inc, 1e-9, 1);
-        let b = iim::core::adaptive_learn(&fm, &ys, &orders, 3, &scr, 1e-9, 1);
+        let a = iim::core::adaptive_learn(&index, &ys, 3, &inc, 1e-9, 1).unwrap();
+        let b = iim::core::adaptive_learn(&index, &ys, 3, &scr, 1e-9, 1).unwrap();
         assert_eq!(a.chosen_ell, b.chosen_ell);
         for (x, y) in a.models.iter().zip(&b.models) {
             for (p, q) in x.phi.iter().zip(&y.phi) {
