@@ -179,7 +179,9 @@ fn main() {
                 .metric("refit_one_s", vec![c.refit_one_s]),
         );
     }
-    let path = result.write_named().expect("write BENCH_learn.json");
+    let path = result
+        .write_named(args.quick)
+        .expect("write BENCH_learn.json");
 
     table.print(&format!(
         "Incremental learning (absorb vs refit; {n_absorbs} absorbs per cell)"

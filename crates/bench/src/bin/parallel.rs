@@ -162,7 +162,9 @@ fn main() {
                 .metric("wall_s", vec![wall]),
         );
     }
-    let path = result.write_named().expect("write BENCH_parallel.json");
+    let path = result
+        .write_named(args.quick)
+        .expect("write BENCH_parallel.json");
 
     // Per-method aggregate over the missing rates.
     let mut table = Table::new(vec![

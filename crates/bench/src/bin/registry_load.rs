@@ -191,7 +191,7 @@ fn main() {
             });
         }
         // Writer: each stage validates, writes a temp file, and renames
-        // inside the tenant's batcher barrier.
+        // inside the tenant's write section.
         for s in 0..swaps {
             std::thread::sleep(std::time::Duration::from_millis(5));
             let bytes = if s % 2 == 0 { &v2 } else { &v3 };
@@ -273,7 +273,9 @@ fn main() {
             .metric("stage_us", swap_samples.clone())
             .metric("impute_requests", vec![impute_requests as f64]),
     );
-    let path = result.write_named().expect("write BENCH_registry.json");
+    let path = result
+        .write_named(args.quick)
+        .expect("write BENCH_registry.json");
 
     table.print(
         "Registry activation + hot swap (v2/v3 loads bitwise-identical, zero dropped requests)",

@@ -251,8 +251,8 @@ fn main() {
             // connection, per-request latency recorded for mean and p50
             // (p50 ignores the occasional scheduler hiccup a 1-core box
             // injects into the mean). One warm-up request pays the lazy
-            // costs (batcher thread wake, allocator warm-up) outside the
-            // timed loop.
+            // costs (connection thread spawn, allocator warm-up) outside
+            // the timed loop.
             let header = csv_batch.lines().next().expect("header");
             let single_bodies: Vec<String> = csv_batch
                 .lines()
@@ -314,7 +314,7 @@ fn main() {
          bitwise-identical to the fitted models before timing. load replaces the offline \
          phase on restart: load_s vs offline_s is the deploy-time win; qps measured against \
          the real daemon ({n_queries} queries x {clients} client threads) incl. HTTP + \
-         micro-batching overhead; single-tuple latencies over one persistent keep-alive \
+         lock overhead; single-tuple latencies over one persistent keep-alive \
          connection.",
     ));
     for c in &cells {
@@ -345,7 +345,9 @@ fn main() {
                 .metric("http_single_p50_us", vec![c.http_single_p50_us]),
         );
     }
-    let path = result.write_named().expect("write BENCH_serve.json");
+    let path = result
+        .write_named(args.quick)
+        .expect("write BENCH_serve.json");
 
     table.print("Snapshot + daemon baseline (loaded snapshots bitwise-identical to fitted models)");
     println!("wrote {}", path.display());

@@ -202,7 +202,9 @@ fn main() {
                 .metric("per_query_us", vec![per_query * 1e6]),
         );
     }
-    let path = result.write_named().expect("write BENCH_serving.json");
+    let path = result
+        .write_named(args.quick)
+        .expect("write BENCH_serving.json");
 
     table.print(&format!(
         "Serving baseline (brute vs kd/vp; {n_queries} queries per cell; all values bitwise-identical)",

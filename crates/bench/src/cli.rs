@@ -124,7 +124,7 @@ fn run_cmd(args: &[String]) -> i32 {
     let result = runner::run(&spec);
     let written = match &out_path {
         Some(path) => result.write_to(path).map(|()| path.clone()),
-        None => result.write_named(),
+        None => result.write_named(false),
     };
     match written {
         Ok(path) => {

@@ -98,13 +98,31 @@ impl Table {
 /// `bench_results/` next to the workspace root (or the current directory
 /// when run elsewhere).
 pub fn results_dir() -> PathBuf {
+    workspace_path("bench_results")
+}
+
+/// Where a bench bin writes its result envelope: [`results_dir`] for a
+/// full run; a `--quick` smoke run goes to the gitignored
+/// `target/bench_results/` instead, so it never replaces a committed
+/// full-grid envelope.
+pub fn results_dir_for(quick: bool) -> PathBuf {
+    if quick {
+        workspace_path("target/bench_results")
+    } else {
+        results_dir()
+    }
+}
+
+/// `rel` under the workspace root, or under the current directory when
+/// run elsewhere.
+fn workspace_path(rel: &str) -> PathBuf {
     // CARGO_MANIFEST_DIR = crates/bench; the workspace root is two up.
     let manifest = env!("CARGO_MANIFEST_DIR");
     Path::new(manifest)
         .ancestors()
         .nth(2)
-        .map(|p| p.join("bench_results"))
-        .unwrap_or_else(|| PathBuf::from("bench_results"))
+        .map(|p| p.join(rel))
+        .unwrap_or_else(|| PathBuf::from(rel))
 }
 
 #[cfg(test)]
@@ -122,6 +140,18 @@ mod tests {
         assert!(s.contains('-'));
         let lines: Vec<&str> = s.lines().collect();
         assert_eq!(lines.len(), 5);
+    }
+
+    #[test]
+    fn quick_runs_never_write_the_committed_results_dir() {
+        assert_eq!(results_dir_for(false), results_dir());
+        let quick = results_dir_for(true);
+        assert!(
+            quick.ends_with("target/bench_results"),
+            "{}",
+            quick.display()
+        );
+        assert!(!quick.starts_with(results_dir()));
     }
 
     #[test]

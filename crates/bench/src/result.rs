@@ -396,9 +396,11 @@ impl BenchResult {
         std::fs::write(path, self.render())
     }
 
-    /// Writes `bench_results/BENCH_<name>.json`, returning the path.
-    pub fn write_named(&self) -> io::Result<PathBuf> {
-        let path = crate::report::results_dir().join(format!("BENCH_{}.json", self.name));
+    /// Writes `BENCH_<name>.json` into `bench_results/`, or for a
+    /// `quick` run into `target/bench_results/` (see
+    /// [`crate::report::results_dir_for`]), returning the path.
+    pub fn write_named(&self, quick: bool) -> io::Result<PathBuf> {
+        let path = crate::report::results_dir_for(quick).join(format!("BENCH_{}.json", self.name));
         self.write_to(&path)?;
         Ok(path)
     }

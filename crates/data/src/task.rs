@@ -742,9 +742,14 @@ impl FittedImputer for FittedPerAttribute {
                 got: row.len(),
             });
         }
-        if row.iter().any(|v| !v.is_finite()) {
+        // Every cell is a feature of some target's Gram system, which sums
+        // its square: a cell past √f64::MAX (≈1.34e154) would overflow it
+        // and poison every later fill. Checked before any model changes.
+        if row.iter().any(|v| !(v * v).is_finite()) {
             return Err(ImputeError::Unsupported(
-                "absorb requires a complete tuple of finite values".into(),
+                "absorb requires a complete tuple of finite values with finite squares \
+                 (|v| <= 1.34e154)"
+                    .into(),
             ));
         }
         if !self.can_absorb() {

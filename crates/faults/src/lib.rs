@@ -34,7 +34,7 @@
 //! | `serve.write.stall` | response write | `stall`: sleep before writing |
 //! | `registry.stage.validate` | `Registry::stage` validation | any: the staged snapshot is rejected |
 //! | `registry.stage.temp_write` | `Registry::stage` temp-file write | any: the durable temp write fails (no litter) |
-//! | `registry.swap.rename` | batcher swap barrier | any: the publish rename fails; the old model keeps serving |
+//! | `registry.swap.rename` | hot swap's write section | any: the publish rename fails; the old model keeps serving |
 
 /// What an armed fail point tells the instrumented site to do.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -1,88 +1,75 @@
-//! The micro-batching queue between HTTP connections and the compute
-//! pool.
+//! One model's serving state: the fitted model and its checkpoint behind
+//! a read-write lock.
 //!
-//! Connection threads enqueue jobs and block on a reply channel; a single
-//! batcher thread **owns the fitted model** and drains the queue in
-//! arrival order. Impute jobs coalesce: consecutive impute jobs fan the
-//! union of their rows out on the shared [`iim_exec::Pool`] — one
-//! `impute_one` per row, each worker reusing its per-thread serving
-//! scratch — and the result slices route back to the waiting connections.
-//! Learn jobs are **barriers**: every impute enqueued before a learn is
-//! answered by the pre-absorb model, every impute after it by the
-//! post-absorb model, and no impute ever observes a half-applied batch.
+//! Imputes take the **read** guard and run `impute_one` on the caller's
+//! thread (a connection thread in the daemon); a request of at least
+//! [`iim_exec::DEFAULT_SERIAL_CUTOFF`] rows fans out on the model's
+//! [`iim_exec::Pool`] under the same guard. `impute_one` is a pure
+//! function of the fitted state and the query, so concurrent readers
+//! cannot change each other's answers: a row imputes to the same bits
+//! alone or beside strangers.
 //!
-//! Coalescing concurrent requests into one `parallel_map_indexed` keeps
-//! the pool saturated under many small requests (the classic
-//! request-batching trade: latency of one queue hop for throughput), while
-//! a single in-flight request still occupies every worker. The window is
-//! **adaptive**: a wake that finds a single queued job flushes
-//! immediately (the interactive latency path), while a multi-job backlog
-//! — the signature of a burst — lingers [`COALESCE_WINDOW`] to sweep
-//! stragglers into the same batch. Because
-//! `impute_one` is a pure function of the fitted state and the query, the
-//! batching boundaries can never change an answer — a row imputes to the
-//! same bits whether it arrived alone or sandwiched between strangers —
-//! and because learns serialize through the same queue, a served fill is
-//! always bitwise-equal to some serial absorb/impute interleaving.
+//! Learns and swaps take the **write** guard, which makes them barriers:
+//! every impute answered before a learn's write section sees the
+//! pre-absorb model, every impute after it the post-absorb model, and no
+//! impute observes a half-applied batch. Served fills are therefore
+//! bitwise those of some serial absorb/impute interleaving.
 //!
-//! **Hot swap** rides the same barrier mechanism: [`Batcher::swap`]
-//! enqueues a job that replaces the owned model between coalesced
-//! batches. Every impute enqueued before the swap is answered by the old
-//! model, every impute after it by the new one, and no response ever
-//! mixes cells from two versions. When the swap carries a staged snapshot
-//! file, the atomic rename happens *inside* the barrier — after the old
-//! model's final checkpoint flush, before the first request against the
-//! new model — so the snapshot on disk and the live model can never
-//! disagree about which version absorbed a tuple.
+//! **Hot swap** is a write section too: [`Batcher::swap`] replaces the
+//! model between reads, so no response mixes cells from two versions.
+//! When the swap carries a staged snapshot file, the atomic rename
+//! happens *inside* the write section — after the outgoing model's final
+//! checkpoint flush, before the first read of the new model — so the
+//! snapshot on disk and the live model never disagree about which
+//! version absorbed a tuple.
 //!
-//! **Bounded admission**: the queue holds at most
-//! [`Batcher::max_queue`] jobs. A submit against a full queue returns
-//! [`SubmitRejected::Overloaded`] immediately instead of queueing —
-//! the daemon turns that into a fast `503` + `Retry-After`, which
-//! under sustained overload is strictly better than an unbounded
-//! backlog whose every entry times out. Swap jobs bypass the cap: they
-//! are one-off control-plane operations, and rejecting them under the
-//! very load they are meant to relieve would be self-defeating.
+//! **Bounded admission**: at most [`Batcher::max_queue`] requests may be
+//! admitted and unanswered at once. One more returns
+//! [`SubmitRejected::Overloaded`] immediately — the daemon turns that
+//! into a fast `503` + `Retry-After`, which under sustained overload is
+//! strictly better than a backlog whose every entry times out. Swaps
+//! bypass the cap: they are one-off control-plane operations, and
+//! rejecting them under the very load they are meant to relieve would be
+//! self-defeating.
+//!
+//! **Failure**: a panic inside the model is caught, answered as
+//! [`SubmitRejected::Shutdown`], and marks the handle dead, so every
+//! later request gets the same answer (a `503`) instead of a half-updated
+//! model. [`Batcher::shutdown`] refuses new work and flushes buffered
+//! checkpoint rows before it returns.
 
 use iim_data::{FittedImputer, ImputeError, RowOpt};
 use iim_exec::Pool;
-use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
-use std::thread::JoinHandle;
-use std::time::Duration;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, PoisonError, RwLock};
 
 /// One query row as parsed from the wire.
 pub type QueryRow = Vec<Option<f64>>;
 
-/// How long the batcher lingers after waking to a **multi-job** backlog,
-/// letting stragglers join the coalesced batch instead of paying their own
-/// flush. A single-job wake (the interactive latency path) never lingers.
-pub const COALESCE_WINDOW: Duration = Duration::from_micros(50);
-
-/// Default cap on queued jobs (see [`Batcher::set_max_queue`]). Each
-/// entry is one request's worth of rows; at serving throughput a backlog
-/// this deep already means seconds of latency, so deeper queues only
-/// convert overload into timeouts.
+/// Default cap on admitted, unanswered requests (see
+/// [`Batcher::set_max_queue`]). Each one is a request's worth of rows; at
+/// serving throughput a backlog this deep already means seconds of
+/// latency, so a higher cap only converts overload into timeouts.
 pub const DEFAULT_MAX_QUEUE: usize = 1024;
 
-/// Why a submit was refused without enqueueing anything.
+/// Why a request was refused without running.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SubmitRejected {
-    /// The batcher is shutting down (or its thread died); no future
-    /// submit will succeed.
+    /// The batcher is shut down, or its model panicked; no future request
+    /// will succeed.
     Shutdown,
-    /// The job queue is at [`Batcher::max_queue`]; the caller should
-    /// shed the request (`503` + `Retry-After`) and let the client
+    /// [`Batcher::max_queue`] requests are already admitted; the caller
+    /// should shed the request (`503` + `Retry-After`) and let the client
     /// retry.
     Overloaded,
 }
 
 /// A request's query rows in one flat buffer: `rows × arity` cells in row
 /// order, no per-row allocation. The daemon's CSV parser appends cells
-/// straight into [`QueryBlock::cells_mut`], and the batcher serves each
-/// row as a borrowed `&RowOpt` slice — the wire-to-scratch path allocates
+/// straight into [`QueryBlock::cells_mut`], and the model serves each row
+/// as a borrowed `&RowOpt` slice — the wire-to-scratch path allocates
 /// exactly one buffer per request regardless of row count.
 #[derive(Debug, Default)]
 pub struct QueryBlock {
@@ -91,14 +78,6 @@ pub struct QueryBlock {
 }
 
 impl QueryBlock {
-    /// An empty block whose rows are `arity` cells wide.
-    pub fn new(arity: usize) -> Self {
-        Self {
-            cells: Vec::new(),
-            arity,
-        }
-    }
-
     /// An empty block with room for `rows` rows.
     pub fn with_capacity(arity: usize, rows: usize) -> Self {
         Self {
@@ -129,54 +108,29 @@ impl QueryBlock {
 
     /// The flat cell buffer, for parsers that append whole rows in place.
     /// The caller keeps the length a multiple of [`QueryBlock::arity`];
-    /// a partial trailing row is truncated away at submit.
+    /// a partial trailing row is never served.
     pub fn cells_mut(&mut self) -> &mut Vec<Option<f64>> {
         &mut self.cells
-    }
-}
-
-/// The rows of one impute job: either owned per-row vectors (library
-/// callers) or one flat block (the daemon's zero-copy wire path). Both
-/// serve through the same `&RowOpt` slices, so the answers cannot depend
-/// on which shape carried them.
-enum ImputeRows {
-    List(Vec<QueryRow>),
-    Block(QueryBlock),
-}
-
-impl ImputeRows {
-    fn len(&self) -> usize {
-        match self {
-            ImputeRows::List(rows) => rows.len(),
-            ImputeRows::Block(block) => block.len(),
-        }
-    }
-
-    fn row(&self, i: usize) -> &RowOpt {
-        match self {
-            ImputeRows::List(rows) => &rows[i],
-            ImputeRows::Block(block) => block.row(i),
-        }
     }
 }
 
 /// Per-row outcome: the completed row or the typed impute error.
 pub type RowResult = Result<Vec<f64>, ImputeError>;
 
-/// Outcome of one learn job: the model's total absorbed-tuple count after
+/// Outcome of one learn: the model's total absorbed-tuple count after
 /// the batch, or the index of the first failing row with its typed error
 /// (rows before the failure stay absorbed — absorbs are applied in order).
 pub type LearnReply = Result<usize, (usize, ImputeError)>;
 
-/// Where (and how often) the batcher appends delta records for absorbed
-/// tuples, keeping the snapshot on disk loadable into the live model.
+/// Where (and how often) absorbed tuples are appended as delta records,
+/// keeping the snapshot on disk loadable into the live model.
 #[derive(Debug, Clone)]
 pub struct CheckpointConfig {
     /// The snapshot file to append [`iim_persist`] delta records to —
     /// normally the file the model was loaded from.
     pub path: PathBuf,
-    /// Flush after this many absorbed tuples (`1` = every learn job).
-    /// Remaining buffered tuples flush once more at shutdown.
+    /// Flush after this many absorbed tuples (`1` = every learn).
+    /// Remaining buffered tuples flush at [`Batcher::shutdown`].
     pub every: usize,
     /// When the snapshot loaded with a torn tail
     /// ([`iim_persist::SnapshotInfo::recovered_at`]), the valid-prefix
@@ -186,348 +140,10 @@ pub struct CheckpointConfig {
     pub truncate_to: Option<u64>,
 }
 
-/// Outcome of a swap job: the new model's absorbed-tuple count, or why
-/// the staged file could not be moved into place (the old model keeps
+/// Outcome of a swap: the new model's absorbed-tuple count, or why the
+/// staged file could not be moved into place (the old model keeps
 /// serving).
 pub type SwapReply = Result<usize, String>;
-
-enum Job {
-    Impute {
-        rows: ImputeRows,
-        reply: mpsc::Sender<Vec<RowResult>>,
-    },
-    Learn {
-        rows: Vec<Vec<f64>>,
-        reply: mpsc::Sender<LearnReply>,
-    },
-    Swap {
-        model: Box<dyn FittedImputer>,
-        /// `(tmp, dst)`: rename `tmp` over `dst` inside the barrier, after
-        /// the outgoing model's checkpoint flush. A rename failure aborts
-        /// the swap (the old model keeps serving).
-        staged: Option<(PathBuf, PathBuf)>,
-        /// Checkpoint config for the incoming model (replaces the old one).
-        checkpoint: Option<CheckpointConfig>,
-        reply: mpsc::Sender<SwapReply>,
-    },
-}
-
-/// Serving metadata mirrored out of the owned model so `/info` never has
-/// to queue behind compute. Updated by the batcher thread inside the swap
-/// barrier, so readers see either the old triple or the new one — never a
-/// mix.
-struct Meta {
-    model_name: String,
-    arity: usize,
-    can_absorb: bool,
-}
-
-#[derive(Default)]
-struct Queue {
-    jobs: VecDeque<Job>,
-    shutdown: bool,
-}
-
-struct Shared {
-    queue: Mutex<Queue>,
-    available: Condvar,
-    /// Queue cap (see [`Batcher::set_max_queue`]); `0` = unbounded.
-    max_queue: AtomicUsize,
-}
-
-/// Locks the queue, recovering from poisoning: the batcher thread's
-/// poison guard marks the queue shut down whenever that thread dies, so
-/// a poisoned lock still reads a consistent "refuse new work" state.
-/// Connection threads must answer 503, not propagate a panic.
-fn lock_queue(shared: &Shared) -> MutexGuard<'_, Queue> {
-    match shared.queue.lock() {
-        Ok(q) => q,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
-/// The micro-batching executor: owns the fitted model, the compute pool,
-/// and the batcher thread.
-pub struct Batcher {
-    shared: Arc<Shared>,
-    absorbed: Arc<AtomicUsize>,
-    meta: Arc<Mutex<Meta>>,
-    worker: Option<JoinHandle<()>>,
-}
-
-/// Reads the metadata mirror, tolerating poisoning (a dead batcher
-/// thread leaves the last consistent triple in place).
-fn lock_meta(meta: &Mutex<Meta>) -> MutexGuard<'_, Meta> {
-    match meta.lock() {
-        Ok(m) => m,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
-impl Batcher {
-    /// Starts the batcher thread serving `model` on a pool of `threads`
-    /// workers (`0` = the process default, see
-    /// [`iim_exec::default_threads`]). The batcher takes ownership of the
-    /// model — all serving *and* learning goes through the queue.
-    ///
-    /// # Errors
-    ///
-    /// Fails only when the batcher thread cannot be spawned.
-    pub fn start(
-        model: Box<dyn FittedImputer>,
-        threads: usize,
-        checkpoint: Option<CheckpointConfig>,
-    ) -> std::io::Result<Self> {
-        let pool = if threads > 0 {
-            Pool::new(threads)
-        } else {
-            iim_exec::global()
-        };
-        let shared = Arc::new(Shared {
-            queue: Mutex::new(Queue::default()),
-            available: Condvar::new(),
-            max_queue: AtomicUsize::new(DEFAULT_MAX_QUEUE),
-        });
-        let absorbed = Arc::new(AtomicUsize::new(model.absorbed()));
-        let meta = Arc::new(Mutex::new(Meta {
-            model_name: model.name().to_string(),
-            arity: model.arity(),
-            can_absorb: model.can_absorb(),
-        }));
-        let worker_shared = Arc::clone(&shared);
-        let worker_absorbed = Arc::clone(&absorbed);
-        let worker_meta = Arc::clone(&meta);
-        let worker = std::thread::Builder::new()
-            .name("iim-serve-batcher".into())
-            .spawn(move || {
-                batcher_loop(
-                    worker_shared,
-                    model,
-                    pool,
-                    checkpoint,
-                    worker_absorbed,
-                    worker_meta,
-                )
-            })?;
-        Ok(Self {
-            shared,
-            absorbed,
-            meta,
-            worker: Some(worker),
-        })
-    }
-
-    /// The served model's method name.
-    pub fn model_name(&self) -> String {
-        lock_meta(&self.meta).model_name.clone()
-    }
-
-    /// The served model's attribute count.
-    pub fn arity(&self) -> usize {
-        lock_meta(&self.meta).arity
-    }
-
-    /// Whether the served model supports
-    /// [`absorb`](FittedImputer::absorb).
-    pub fn can_absorb(&self) -> bool {
-        lock_meta(&self.meta).can_absorb
-    }
-
-    /// Tuples absorbed by the served model so far (including any delta
-    /// rows replayed at snapshot load).
-    pub fn absorbed(&self) -> usize {
-        self.absorbed.load(Ordering::SeqCst)
-    }
-
-    /// The queue cap: submits beyond this many queued jobs are refused
-    /// with [`SubmitRejected::Overloaded`]. `0` = unbounded.
-    pub fn max_queue(&self) -> usize {
-        self.shared.max_queue.load(Ordering::SeqCst)
-    }
-
-    /// Sets the queue cap (`0` = unbounded). Defaults to
-    /// [`DEFAULT_MAX_QUEUE`].
-    pub fn set_max_queue(&self, cap: usize) {
-        self.shared.max_queue.store(cap, Ordering::SeqCst);
-    }
-
-    fn submit(&self, job: Job) -> Result<(), SubmitRejected> {
-        // Swap is control-plane: it bypasses the overload cap (rejecting
-        // the operation meant to relieve load would be self-defeating).
-        let data_plane = !matches!(job, Job::Swap { .. });
-        {
-            let mut queue = lock_queue(&self.shared);
-            if queue.shutdown {
-                return Err(SubmitRejected::Shutdown);
-            }
-            let cap = self.shared.max_queue.load(Ordering::SeqCst);
-            if data_plane && cap > 0 && queue.jobs.len() >= cap {
-                return Err(SubmitRejected::Overloaded);
-            }
-            queue.jobs.push_back(job);
-        }
-        self.shared.available.notify_one();
-        Ok(())
-    }
-
-    /// Enqueues `rows` without blocking; the receiver yields their
-    /// results, in order. The registry enqueues under its tenant lock and
-    /// receives outside it, so one tenant's slow batch never stalls
-    /// another tenant's requests.
-    ///
-    /// Fails only when the batcher is shutting down or the queue is at
-    /// its cap. Once enqueued, the job is always answered — even through
-    /// shutdown, the batcher drains its queue before exiting.
-    pub fn submit_impute(
-        &self,
-        rows: Vec<QueryRow>,
-    ) -> Result<mpsc::Receiver<Vec<RowResult>>, SubmitRejected> {
-        let (tx, rx) = mpsc::channel();
-        self.submit(Job::Impute {
-            rows: ImputeRows::List(rows),
-            reply: tx,
-        })
-        .map(|()| rx)
-    }
-
-    /// [`Batcher::submit_impute`] for a flat [`QueryBlock`] — the daemon's
-    /// wire path. Same contract; answers are bitwise those of the
-    /// equivalent per-row submission.
-    pub fn submit_impute_block(
-        &self,
-        rows: QueryBlock,
-    ) -> Result<mpsc::Receiver<Vec<RowResult>>, SubmitRejected> {
-        let (tx, rx) = mpsc::channel();
-        self.submit(Job::Impute {
-            rows: ImputeRows::Block(rows),
-            reply: tx,
-        })
-        .map(|()| rx)
-    }
-
-    /// Non-blocking variant of [`Batcher::learn`]; same contract as
-    /// [`Batcher::submit_impute`].
-    pub fn submit_learn(
-        &self,
-        rows: Vec<Vec<f64>>,
-    ) -> Result<mpsc::Receiver<LearnReply>, SubmitRejected> {
-        let (tx, rx) = mpsc::channel();
-        self.submit(Job::Learn { rows, reply: tx }).map(|()| rx)
-    }
-
-    /// Enqueues `rows` and blocks until their results arrive, in order.
-    ///
-    /// Fails only when the batcher is shutting down or the queue is at
-    /// its cap ([`SubmitRejected`]).
-    pub fn impute(&self, rows: Vec<QueryRow>) -> Result<Vec<RowResult>, SubmitRejected> {
-        self.submit_impute(rows)?
-            .recv()
-            .map_err(|_| SubmitRejected::Shutdown)
-    }
-
-    /// Blocking [`Batcher::submit_impute_block`].
-    ///
-    /// Fails only when the batcher is shutting down or the queue is at
-    /// its cap ([`SubmitRejected`]).
-    pub fn impute_block(&self, rows: QueryBlock) -> Result<Vec<RowResult>, SubmitRejected> {
-        self.submit_impute_block(rows)?
-            .recv()
-            .map_err(|_| SubmitRejected::Shutdown)
-    }
-
-    /// Enqueues complete tuples for absorption and blocks until the model
-    /// has applied them (in row order, serialized against every other
-    /// job).
-    ///
-    /// Fails only when the batcher is shutting down or the queue is at
-    /// its cap ([`SubmitRejected`]).
-    pub fn learn(&self, rows: Vec<Vec<f64>>) -> Result<LearnReply, SubmitRejected> {
-        self.submit_learn(rows)?
-            .recv()
-            .map_err(|_| SubmitRejected::Shutdown)
-    }
-
-    /// Atomically replaces the served model (and optionally its snapshot
-    /// file and checkpoint config) between micro-batches. Blocks until the
-    /// swap is applied: every request enqueued before this call is
-    /// answered by the old model, every request enqueued after it returns
-    /// by the new one, and no response mixes the two.
-    ///
-    /// With `staged = Some((tmp, dst))`, `tmp` is durably renamed over
-    /// `dst` inside the barrier — after the outgoing model's last
-    /// checkpoint flush, with a parent-directory fsync so the publish
-    /// survives power loss — so delta records always land in the file of
-    /// the model that absorbed them. A rename failure aborts the swap
-    /// (`Err` with the OS error; the old model, file, and checkpoint
-    /// stay in service).
-    ///
-    /// Fails only when the batcher is shutting down — swaps are
-    /// control-plane jobs and bypass the queue cap.
-    pub fn swap(
-        &self,
-        model: Box<dyn FittedImputer>,
-        staged: Option<(PathBuf, PathBuf)>,
-        checkpoint: Option<CheckpointConfig>,
-    ) -> Result<SwapReply, SubmitRejected> {
-        let (tx, rx) = mpsc::channel();
-        self.submit(Job::Swap {
-            model,
-            staged,
-            checkpoint,
-            reply: tx,
-        })?;
-        rx.recv().map_err(|_| SubmitRejected::Shutdown)
-    }
-
-    /// Signals the batcher thread to exit once the queue drains.
-    pub fn shutdown(&self) {
-        let mut queue = lock_queue(&self.shared);
-        queue.shutdown = true;
-        drop(queue);
-        self.shared.available.notify_all();
-    }
-}
-
-impl Drop for Batcher {
-    fn drop(&mut self) {
-        self.shutdown();
-        if let Some(worker) = self.worker.take() {
-            let _ = worker.join();
-        }
-    }
-}
-
-/// Flushes one coalesced impute batch: the union of all pending impute
-/// jobs' rows, one deterministic indexed map over the pool, slices routed
-/// back to their connections.
-fn flush_imputes(
-    model: &dyn FittedImputer,
-    pool: &Pool,
-    jobs: &mut Vec<(ImputeRows, mpsc::Sender<Vec<RowResult>>)>,
-) {
-    if jobs.is_empty() {
-        return;
-    }
-    // Union of all rows, then one deterministic indexed map over the
-    // pool. Row order within the union is job order — irrelevant to
-    // the results (impute_one is pure) but kept stable anyway.
-    let flat: Vec<&RowOpt> = jobs
-        .iter()
-        .flat_map(|(rows, _)| (0..rows.len()).map(move |i| rows.row(i)))
-        .collect();
-    let results: Vec<RowResult> =
-        pool.parallel_map_indexed(flat.len(), |i| model.impute_one(flat[i]));
-
-    // Move each job's slice of results out (no per-row clone on the
-    // serving hot path).
-    let mut results = results.into_iter();
-    for (rows, reply) in jobs.drain(..) {
-        let slice: Vec<RowResult> = results.by_ref().take(rows.len()).collect();
-        // A receiver that hung up (client disconnected) is not an
-        // error for the batch.
-        let _ = reply.send(slice);
-    }
-}
 
 /// Buffers absorbed tuples between checkpoint flushes.
 struct CheckpointState {
@@ -536,6 +152,13 @@ struct CheckpointState {
 }
 
 impl CheckpointState {
+    fn new(cfg: CheckpointConfig) -> Self {
+        Self {
+            cfg,
+            pending: Vec::new(),
+        }
+    }
+
     /// Appends the pending tuples to the snapshot as one delta record.
     /// An append failure keeps the rows buffered (retried on the next
     /// flush) — the live model is already ahead of the disk either way,
@@ -577,148 +200,300 @@ impl CheckpointState {
     }
 }
 
-fn batcher_loop(
-    shared: Arc<Shared>,
-    mut model: Box<dyn FittedImputer>,
-    pool: Pool,
-    checkpoint: Option<CheckpointConfig>,
-    absorbed: Arc<AtomicUsize>,
-    meta: Arc<Mutex<Meta>>,
-) {
-    // If this thread dies for ANY reason — normal shutdown or a panic
-    // unwinding out of a worker via the pool's join — the guard marks the
-    // queue shut down and drops every pending job's reply sender, so
-    // blocked and future `Batcher::impute` calls return `None` (the
-    // daemon answers 503) instead of hanging forever on a reply that can
-    // never come.
-    struct PoisonGuard(Arc<Shared>);
-    impl Drop for PoisonGuard {
-        fn drop(&mut self) {
-            let mut queue = lock_queue(&self.0);
-            queue.shutdown = true;
-            queue.jobs.clear();
-        }
+/// What the lock guards: one model version and its checkpoint.
+pub(crate) struct Served {
+    pub(crate) model: Box<dyn FittedImputer>,
+    checkpoint: Option<CheckpointState>,
+    /// The version's training column names (empty: unchecked). Registry
+    /// tenants check query headers against it under the same guard that
+    /// serves them, so a header is always checked against the version
+    /// that answers.
+    pub(crate) schema: Arc<[String]>,
+}
+
+impl Served {
+    /// `impute_one` per row, in row order; fans out on `pool` from its
+    /// serial cutoff up.
+    pub(crate) fn impute<'r>(
+        &self,
+        pool: &Pool,
+        n: usize,
+        row: impl Fn(usize) -> &'r RowOpt + Sync,
+    ) -> Vec<RowResult> {
+        pool.parallel_map_indexed(n, |i| self.model.impute_one(row(i)))
     }
-    let _guard = PoisonGuard(Arc::clone(&shared));
-    let mut checkpoint = checkpoint.map(|cfg| CheckpointState {
-        cfg,
-        pending: Vec::new(),
-    });
-    loop {
-        // Collect every job currently queued (micro-batch = the backlog).
-        let mut jobs: Vec<Job> = {
-            let mut queue = lock_queue(&shared);
-            while queue.jobs.is_empty() && !queue.shutdown {
-                queue = match shared.available.wait(queue) {
-                    Ok(q) => q,
-                    Err(poisoned) => poisoned.into_inner(),
-                };
-            }
-            if queue.jobs.is_empty() && queue.shutdown {
-                // Normal shutdown: nothing in flight; flush any absorbed
-                // tuples still buffered for the checkpoint and exit.
-                if let Some(cp) = checkpoint.as_mut() {
+
+    /// Absorbs `rows` in order, buffering each for the checkpoint.
+    pub(crate) fn learn(&mut self, rows: &[Vec<f64>]) -> LearnReply {
+        for (i, row) in rows.iter().enumerate() {
+            self.model.absorb(row).map_err(|e| (i, e))?;
+            if let Some(cp) = self.checkpoint.as_mut() {
+                cp.pending.push(row.clone());
+                if cp.pending.len() >= cp.cfg.every.max(1) {
                     cp.flush();
                 }
-                return;
-            }
-            queue.jobs.drain(..).collect()
-        };
-
-        // Adaptive coalescing: waking to more than one queued job means
-        // requests arrive faster than batches flush, so linger one short
-        // window and sweep the stragglers into this batch — they'd only
-        // queue behind it anyway, and a bigger union keeps the pool
-        // saturated. A single-job wake (the interactive path) skips the
-        // wait entirely, so idle-connection latency never pays for it.
-        // Batching boundaries cannot change answers (impute_one is pure),
-        // so the window is a pure throughput knob.
-        if jobs.len() > 1 {
-            std::thread::sleep(COALESCE_WINDOW);
-            let mut queue = lock_queue(&shared);
-            jobs.extend(queue.jobs.drain(..));
-        }
-
-        // Process the backlog in arrival order: impute jobs coalesce,
-        // learn jobs act as barriers between coalesced batches.
-        let mut imputes: Vec<(ImputeRows, mpsc::Sender<Vec<RowResult>>)> = Vec::new();
-        for job in jobs {
-            match job {
-                Job::Impute { rows, reply } => imputes.push((rows, reply)),
-                Job::Learn { rows, reply } => {
-                    flush_imputes(model.as_ref(), &pool, &mut imputes);
-                    let mut outcome: LearnReply = Ok(0);
-                    for (i, row) in rows.iter().enumerate() {
-                        if let Err(e) = model.absorb(row) {
-                            outcome = Err((i, e));
-                            break;
-                        }
-                        absorbed.store(model.absorbed(), Ordering::SeqCst);
-                        if let Some(cp) = checkpoint.as_mut() {
-                            cp.pending.push(row.clone());
-                            if cp.pending.len() >= cp.cfg.every.max(1) {
-                                cp.flush();
-                            }
-                        }
-                    }
-                    if outcome.is_ok() {
-                        outcome = Ok(model.absorbed());
-                    }
-                    let _ = reply.send(outcome);
-                }
-                Job::Swap {
-                    model: next,
-                    staged,
-                    checkpoint: next_cp,
-                    reply,
-                } => {
-                    // Barrier: answer everything queued before the swap
-                    // with the outgoing model, and put its last absorbed
-                    // tuples on disk before the file changes hands.
-                    flush_imputes(model.as_ref(), &pool, &mut imputes);
-                    if let Some(cp) = checkpoint.as_mut() {
-                        cp.flush();
-                    }
-                    if let Some((tmp, dst)) = staged {
-                        // Fail point: the barrier rename itself (e.g. the
-                        // registry directory vanished between stage and
-                        // swap). The abort path below must leave the old
-                        // model serving.
-                        let renamed = if iim_faults::check("registry.swap.rename").is_some() {
-                            Err(iim_persist::PersistError::from(std::io::Error::other(
-                                "fault injected: registry.swap.rename",
-                            )))
-                        } else {
-                            iim_persist::rename_durable(&tmp, &dst)
-                        };
-                        if let Err(e) = renamed {
-                            // Abort: old model, file, and checkpoint stay
-                            // in service; the caller sees why.
-                            let _ = reply.send(Err(format!(
-                                "staging {} over {} failed: {e}",
-                                tmp.display(),
-                                dst.display()
-                            )));
-                            continue;
-                        }
-                    }
-                    model = next;
-                    checkpoint = next_cp.map(|cfg| CheckpointState {
-                        cfg,
-                        pending: Vec::new(),
-                    });
-                    absorbed.store(model.absorbed(), Ordering::SeqCst);
-                    {
-                        let mut m = lock_meta(&meta);
-                        m.model_name = model.name().to_string();
-                        m.arity = model.arity();
-                        m.can_absorb = model.can_absorb();
-                    }
-                    let _ = reply.send(Ok(model.absorbed()));
-                }
             }
         }
-        flush_imputes(model.as_ref(), &pool, &mut imputes);
+        Ok(self.model.absorbed())
+    }
+
+    /// Replaces the model (see [`Batcher::swap`]).
+    pub(crate) fn replace(
+        &mut self,
+        model: Box<dyn FittedImputer>,
+        staged: Option<(PathBuf, PathBuf)>,
+        checkpoint: Option<CheckpointConfig>,
+    ) -> SwapReply {
+        // The outgoing model's last absorbed tuples go to disk before the
+        // file changes hands.
+        if let Some(cp) = self.checkpoint.as_mut() {
+            cp.flush();
+        }
+        if let Some((tmp, dst)) = staged {
+            // Fail point: the publish rename itself (e.g. the registry
+            // directory vanished between stage and swap). The abort path
+            // must leave the old model serving.
+            let renamed = if iim_faults::check("registry.swap.rename").is_some() {
+                Err(iim_persist::PersistError::from(std::io::Error::other(
+                    "fault injected: registry.swap.rename",
+                )))
+            } else {
+                iim_persist::rename_durable(&tmp, &dst)
+            };
+            renamed.map_err(|e| {
+                format!(
+                    "staging {} over {} failed: {e}",
+                    tmp.display(),
+                    dst.display()
+                )
+            })?;
+        }
+        self.model = model;
+        self.checkpoint = checkpoint.map(CheckpointState::new);
+        Ok(self.model.absorbed())
+    }
+}
+
+/// The serving handle of one model: the model behind a read-write lock,
+/// the pool large requests fan out on, and the admission state.
+pub struct Batcher {
+    served: RwLock<Served>,
+    pool: Pool,
+    /// Admitted, unanswered requests (swaps included).
+    in_flight: AtomicUsize,
+    /// Admission cap (see [`Batcher::set_max_queue`]); `0` = unbounded.
+    max_queue: AtomicUsize,
+    /// New requests are refused: set by [`Batcher::shutdown`] and by a
+    /// panicking model.
+    closed: AtomicBool,
+    /// The model panicked: admitted requests are refused too.
+    dead: AtomicBool,
+}
+
+/// One admitted request; dropping it answers the request for the cap.
+struct Permit<'a>(&'a AtomicUsize);
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+impl Batcher {
+    /// Serves `model` with requests of at least the serial cutoff fanning
+    /// out on a pool of `threads` workers (`0` = the process default, see
+    /// [`iim_exec::default_threads`]). All serving *and* learning goes
+    /// through the returned handle.
+    ///
+    /// # Errors
+    ///
+    /// None: serving needs no thread of its own. The `io::Result` keeps
+    /// the signature callers were written against.
+    pub fn start(
+        model: Box<dyn FittedImputer>,
+        threads: usize,
+        checkpoint: Option<CheckpointConfig>,
+    ) -> std::io::Result<Self> {
+        Ok(Self {
+            served: RwLock::new(Served {
+                model,
+                checkpoint: checkpoint.map(CheckpointState::new),
+                schema: Arc::from([]),
+            }),
+            pool: Pool::new(threads),
+            in_flight: AtomicUsize::new(0),
+            max_queue: AtomicUsize::new(DEFAULT_MAX_QUEUE),
+            closed: AtomicBool::new(false),
+            dead: AtomicBool::new(false),
+        })
+    }
+
+    /// Sets the column names registry requests are checked against.
+    pub(crate) fn with_schema(mut self, schema: Arc<[String]>) -> Self {
+        self.served
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner)
+            .schema = schema;
+        self
+    }
+
+    /// Reads the served state, tolerating poison: metadata stays readable
+    /// after a panic.
+    fn peek<R>(&self, f: impl FnOnce(&Served) -> R) -> R {
+        f(&self.served.read().unwrap_or_else(PoisonError::into_inner))
+    }
+
+    /// The served model's method name.
+    pub fn model_name(&self) -> String {
+        self.peek(|s| s.model.name().to_string())
+    }
+
+    /// The served model's attribute count.
+    pub fn arity(&self) -> usize {
+        self.peek(|s| s.model.arity())
+    }
+
+    /// Whether the served model supports
+    /// [`absorb`](FittedImputer::absorb).
+    pub fn can_absorb(&self) -> bool {
+        self.peek(|s| s.model.can_absorb())
+    }
+
+    /// Tuples absorbed by the served model so far (including any delta
+    /// rows replayed at snapshot load).
+    pub fn absorbed(&self) -> usize {
+        self.peek(|s| s.model.absorbed())
+    }
+
+    /// The served version's column names (empty: unchecked).
+    pub(crate) fn schema(&self) -> Arc<[String]> {
+        self.peek(|s| Arc::clone(&s.schema))
+    }
+
+    /// The admission cap: requests beyond this many admitted and
+    /// unanswered ones are refused with [`SubmitRejected::Overloaded`].
+    /// `0` = unbounded.
+    pub fn max_queue(&self) -> usize {
+        self.max_queue.load(Ordering::SeqCst)
+    }
+
+    /// Sets the admission cap (`0` = unbounded). Defaults to
+    /// [`DEFAULT_MAX_QUEUE`].
+    pub fn set_max_queue(&self, cap: usize) {
+        self.max_queue.store(cap, Ordering::SeqCst);
+    }
+
+    /// Admits one request; `capped` requests are refused past the cap.
+    fn admit(&self, capped: bool) -> Result<Permit<'_>, SubmitRejected> {
+        if self.closed.load(Ordering::SeqCst) {
+            return Err(SubmitRejected::Shutdown);
+        }
+        let ahead = self.in_flight.fetch_add(1, Ordering::SeqCst);
+        let permit = Permit(&self.in_flight);
+        let cap = self.max_queue.load(Ordering::SeqCst);
+        if capped && cap > 0 && ahead >= cap {
+            return Err(SubmitRejected::Overloaded);
+        }
+        Ok(permit)
+    }
+
+    /// Runs `f` once the guard is held. A panic in `f` marks the handle
+    /// dead: this request and every later one answer `Shutdown`.
+    fn guarded<R>(&self, f: impl FnOnce() -> R) -> Result<R, SubmitRejected> {
+        if self.dead.load(Ordering::SeqCst) {
+            return Err(SubmitRejected::Shutdown);
+        }
+        catch_unwind(AssertUnwindSafe(f)).map_err(|_| {
+            self.dead.store(true, Ordering::SeqCst);
+            self.closed.store(true, Ordering::SeqCst);
+            SubmitRejected::Shutdown
+        })
+    }
+
+    /// Admits a request and runs `f` under the read guard.
+    pub(crate) fn read<R>(&self, f: impl FnOnce(&Served, &Pool) -> R) -> Result<R, SubmitRejected> {
+        let _permit = self.admit(true)?;
+        let served = self.served.read().map_err(|_| SubmitRejected::Shutdown)?;
+        self.guarded(|| f(&served, &self.pool))
+    }
+
+    /// Admits a request and runs `f` under the write guard; `capped` as
+    /// in [`Batcher::admit`].
+    pub(crate) fn write<R>(
+        &self,
+        capped: bool,
+        f: impl FnOnce(&mut Served) -> R,
+    ) -> Result<R, SubmitRejected> {
+        let _permit = self.admit(capped)?;
+        let mut served = self.served.write().map_err(|_| SubmitRejected::Shutdown)?;
+        self.guarded(|| f(&mut served))
+    }
+
+    /// Imputes `rows` and returns their results, in order.
+    ///
+    /// Fails only when the batcher is shut down or at its admission cap
+    /// ([`SubmitRejected`]).
+    pub fn impute(&self, rows: Vec<QueryRow>) -> Result<Vec<RowResult>, SubmitRejected> {
+        self.read(|s, pool| s.impute(pool, rows.len(), |i| rows[i].as_slice()))
+    }
+
+    /// [`Batcher::impute`] for a flat [`QueryBlock`] — the daemon's wire
+    /// path. Answers are bitwise those of the per-row form.
+    pub fn impute_block(&self, rows: QueryBlock) -> Result<Vec<RowResult>, SubmitRejected> {
+        self.read(|s, pool| s.impute(pool, rows.len(), |i| rows.row(i)))
+    }
+
+    /// Absorbs complete tuples in row order, serialized against every
+    /// other request, and returns once the model has applied them.
+    ///
+    /// Fails only when the batcher is shut down or at its admission cap
+    /// ([`SubmitRejected`]).
+    pub fn learn(&self, rows: Vec<Vec<f64>>) -> Result<LearnReply, SubmitRejected> {
+        self.write(true, |s| s.learn(&rows))
+    }
+
+    /// Atomically replaces the served model (and optionally its snapshot
+    /// file and checkpoint config) between requests. Every request
+    /// answered before the swap's write section is served by the old
+    /// model, every request after it by the new one, and no response
+    /// mixes the two.
+    ///
+    /// With `staged = Some((tmp, dst))`, `tmp` is durably renamed over
+    /// `dst` inside the write section — after the outgoing model's last
+    /// checkpoint flush, with a parent-directory fsync so the publish
+    /// survives power loss — so delta records always land in the file of
+    /// the model that absorbed them. A rename failure aborts the swap
+    /// (`Err` with the OS error; the old model, file, and checkpoint
+    /// stay in service).
+    ///
+    /// Fails only when the batcher is shut down — swaps are
+    /// control-plane operations and bypass the admission cap.
+    pub fn swap(
+        &self,
+        model: Box<dyn FittedImputer>,
+        staged: Option<(PathBuf, PathBuf)>,
+        checkpoint: Option<CheckpointConfig>,
+    ) -> Result<SwapReply, SubmitRejected> {
+        self.write(false, |s| s.replace(model, staged, checkpoint))
+    }
+
+    /// Refuses new work, then flushes buffered checkpoint rows under the
+    /// write guard, so they are on disk when this returns. Requests
+    /// admitted earlier are still answered, and rows a learn absorbs from
+    /// here on are flushed at once.
+    pub fn shutdown(&self) {
+        self.closed.store(true, Ordering::SeqCst);
+        let mut served = self.served.write().unwrap_or_else(PoisonError::into_inner);
+        if let Some(cp) = served.checkpoint.as_mut() {
+            cp.cfg.every = 1;
+            cp.flush();
+        }
+    }
+}
+
+impl Drop for Batcher {
+    fn drop(&mut self) {
+        self.shutdown();
     }
 }
 
@@ -980,42 +755,97 @@ mod tests {
         );
     }
 
-    #[test]
-    fn a_full_queue_sheds_instead_of_growing() {
-        // Cap the queue at 1 while the batcher is wedged behind a slow
-        // job; the second and third submits must be refused immediately
-        // with Overloaded, not queued.
-        struct Slow;
-        impl FittedImputer for Slow {
-            fn name(&self) -> &str {
-                "Slow"
-            }
-            fn arity(&self) -> usize {
-                1
-            }
-            fn impute_one(&self, _row: &iim_data::RowOpt) -> RowResult {
-                std::thread::sleep(Duration::from_millis(200));
-                Ok(vec![0.0])
+    /// Holds every `impute_one` call until the test opens it.
+    #[derive(Default)]
+    struct Gate {
+        entered: AtomicUsize,
+        open: std::sync::Mutex<bool>,
+        opened: std::sync::Condvar,
+    }
+
+    impl Gate {
+        fn wait_entered(&self, n: usize) {
+            while self.entered.load(Ordering::SeqCst) < n {
+                std::thread::yield_now();
             }
         }
-        let batcher = Batcher::start(Box::new(Slow), 1, None).unwrap();
+
+        fn release(&self) {
+            *self.open.lock().unwrap() = true;
+            self.opened.notify_all();
+        }
+    }
+
+    struct Held(Arc<Gate>);
+
+    impl FittedImputer for Held {
+        fn name(&self) -> &str {
+            "Held"
+        }
+        fn arity(&self) -> usize {
+            1
+        }
+        fn impute_one(&self, _row: &iim_data::RowOpt) -> RowResult {
+            self.0.entered.fetch_add(1, Ordering::SeqCst);
+            let mut open = self.0.open.lock().unwrap();
+            while !*open {
+                open = self.0.opened.wait(open).unwrap();
+            }
+            Ok(vec![0.0])
+        }
+    }
+
+    #[test]
+    fn a_full_queue_sheds_instead_of_growing() {
+        // Cap admission at 2 while two imputes are held inside the model;
+        // a third impute and a learn must be refused at once with
+        // Overloaded, not left waiting behind them.
+        let gate = Arc::new(Gate::default());
+        let batcher = Batcher::start(Box::new(Held(Arc::clone(&gate))), 1, None).unwrap();
         assert_eq!(batcher.max_queue(), DEFAULT_MAX_QUEUE);
-        batcher.set_max_queue(1);
-        // First job occupies the batcher; give it time to be drained off
-        // the queue, then fill the single queue slot.
-        let first = batcher.submit_impute(vec![vec![None]]).unwrap();
-        std::thread::sleep(Duration::from_millis(50));
-        let second = batcher.submit_impute(vec![vec![None]]).unwrap();
-        assert_eq!(
-            batcher.submit_impute(vec![vec![None]]).map(|_| ()),
-            Err(SubmitRejected::Overloaded)
-        );
-        assert_eq!(
-            batcher.learn(vec![vec![1.0]]).map(|_| ()),
-            Err(SubmitRejected::Overloaded)
-        );
-        // Everything actually enqueued is still answered.
-        assert_eq!(first.recv().unwrap().len(), 1);
-        assert_eq!(second.recv().unwrap().len(), 1);
+        batcher.set_max_queue(2);
+        std::thread::scope(|scope| {
+            let admitted: Vec<_> = (0..2)
+                .map(|_| scope.spawn(|| batcher.impute(vec![vec![None]])))
+                .collect();
+            gate.wait_entered(2);
+            assert_eq!(
+                batcher.impute(vec![vec![None]]).map(|_| ()),
+                Err(SubmitRejected::Overloaded)
+            );
+            assert_eq!(
+                batcher.learn(vec![vec![1.0]]).map(|_| ()),
+                Err(SubmitRejected::Overloaded)
+            );
+            gate.release();
+            // Everything admitted is still answered.
+            for h in admitted {
+                assert_eq!(h.join().unwrap().unwrap().len(), 1);
+            }
+        });
+    }
+
+    #[test]
+    fn shutdown_answers_the_running_request_before_it_returns() {
+        let gate = Arc::new(Gate::default());
+        let batcher = Batcher::start(Box::new(Held(Arc::clone(&gate))), 1, None).unwrap();
+        std::thread::scope(|scope| {
+            let running = scope.spawn(|| batcher.impute(vec![vec![None]]));
+            gate.wait_entered(1);
+            let closer = scope.spawn(|| batcher.shutdown());
+            while !batcher.closed.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+            // New work is refused at once; shutdown itself waits for the
+            // write guard, which the running read still holds.
+            assert_eq!(
+                batcher.impute(vec![vec![None]]),
+                Err(SubmitRejected::Shutdown)
+            );
+            assert!(!closer.is_finished());
+            gate.release();
+            assert_eq!(running.join().unwrap().unwrap().len(), 1);
+            closer.join().unwrap();
+        });
     }
 }

@@ -5,8 +5,19 @@
 //! Supported: persistent connections with request pipelining (HTTP/1.1
 //! keep-alive semantics), `Connection: close` / `keep-alive` headers,
 //! HTTP/1.0 requests (which default to close), `Content-Length` bodies,
-//! CRLF or bare-LF line endings. Not supported (and not needed): chunked
-//! transfer, TLS.
+//! CRLF or bare-LF line endings. Not supported (and not needed): any
+//! transfer coding (chunked included), TLS.
+//!
+//! # Framing (RFC 9112 §6.1, §6.3)
+//!
+//! A body is framed by `Content-Length` alone. A request that carries
+//! `Transfer-Encoding` is refused before its body is read, because
+//! reading it by any other rule would desynchronize the connection: with
+//! `Content-Length` too it is [`HttpError::Malformed`] (a `400`, the
+//! request-smuggling shape), without it [`HttpError::NotImplemented`] (a
+//! `501`). Either way the connection closes. The head is capped at 64 KiB
+//! by the offset of its terminating blank line, so where the socket
+//! happens to split the bytes never changes the outcome.
 //!
 //! # Keep-alive and pipelining contract
 //!
@@ -46,11 +57,14 @@ pub struct Request {
     pub keep_alive: bool,
 }
 
-/// Why a request could not be parsed; maps to a 4xx response.
+/// Why a request could not be parsed; maps to a 4xx or 501 response.
 #[derive(Debug)]
 pub enum HttpError {
     /// Malformed request line or headers.
     Malformed(&'static str),
+    /// Well-formed framing this server does not implement (a transfer
+    /// coding); maps to `501`.
+    NotImplemented(&'static str),
     /// Body larger than [`MAX_BODY_BYTES`].
     TooLarge,
     /// Socket-level failure.
@@ -67,22 +81,31 @@ impl std::fmt::Display for HttpError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             HttpError::Malformed(why) => write!(f, "malformed request: {why}"),
+            HttpError::NotImplemented(what) => write!(f, "not implemented: {what}"),
             HttpError::TooLarge => write!(f, "request body too large"),
             HttpError::Io(e) => write!(f, "io error: {e}"),
         }
     }
 }
 
-/// Offset just past the first blank line (CRLF or bare LF), if present.
-fn head_end(buf: &[u8]) -> Option<usize> {
-    // The head is tiny relative to bodies, so a simple windows scan per
-    // read is cheap; the first terminator found is the real one (nothing
-    // before it can contain a blank line).
-    buf.windows(4)
+/// Offset just past the first blank line (CRLF or bare LF), if present,
+/// given that `buf[..scanned]` holds none: only the tail a terminator
+/// could still end in is scanned, so a head trickled in a byte at a time
+/// costs linear, not quadratic, work.
+fn head_end(buf: &[u8], scanned: usize) -> Option<usize> {
+    let crlf = scanned.saturating_sub(3);
+    let lf = scanned.saturating_sub(1);
+    buf[crlf..]
+        .windows(4)
         .position(|w| w == b"\r\n\r\n")
-        .map(|p| p + 4)
+        .map(|p| crlf + p + 4)
         .into_iter()
-        .chain(buf.windows(2).position(|w| w == b"\n\n").map(|p| p + 2))
+        .chain(
+            buf[lf..]
+                .windows(2)
+                .position(|w| w == b"\n\n")
+                .map(|p| lf + p + 2),
+        )
         .min()
 }
 
@@ -122,10 +145,13 @@ impl RequestReader {
         // read here are the body's prefix; bytes past the body are the
         // next pipelined request's prefix and are kept for the next call.
         let mut chunk = [0u8; 4096];
+        let mut scanned = 0;
         let head_len = loop {
-            if let Some(end) = head_end(&self.buf) {
+            if let Some(end) = head_end(&self.buf, scanned) {
                 break end;
             }
+            scanned = self.buf.len();
+            // No terminator yet, so the head ends past the buffer.
             if self.buf.len() >= MAX_HEAD_BYTES {
                 return Err(HttpError::Malformed("header block too large"));
             }
@@ -137,6 +163,9 @@ impl RequestReader {
                 Err(e) => return Err(e.into()),
             }
         };
+        if head_len > MAX_HEAD_BYTES {
+            return Err(HttpError::Malformed("header block too large"));
+        }
         let head = std::str::from_utf8(&self.buf[..head_len])
             .map_err(|_| HttpError::Malformed("non-UTF-8 head"))?;
         let mut lines = head.lines();
@@ -157,6 +186,7 @@ impl RequestReader {
             .is_some_and(|v| v.eq_ignore_ascii_case("HTTP/1.0"));
 
         let mut content_length: Option<u64> = None;
+        let mut transfer_encoding = false;
         for line in lines {
             if let Some((name, value)) = line.split_once(':') {
                 let name = name.trim();
@@ -173,6 +203,8 @@ impl RequestReader {
                         return Err(HttpError::Malformed("duplicate content-length"));
                     }
                     content_length = Some(parsed);
+                } else if name.eq_ignore_ascii_case("transfer-encoding") {
+                    transfer_encoding = true;
                 } else if name.eq_ignore_ascii_case("connection") {
                     for token in value.split(',') {
                         let token = token.trim();
@@ -184,6 +216,13 @@ impl RequestReader {
                     }
                 }
             }
+        }
+        if transfer_encoding {
+            return Err(if content_length.is_some() {
+                HttpError::Malformed("transfer-encoding with content-length")
+            } else {
+                HttpError::NotImplemented("transfer-encoding")
+            });
         }
         let content_length = content_length.unwrap_or(0);
         if content_length > MAX_BODY_BYTES {
@@ -242,45 +281,6 @@ pub fn write_response(
     }
     out.extend_from_slice(b"\r\n");
     out.extend_from_slice(body);
-}
-
-/// Writes a complete response and flushes. `keep_alive` controls the
-/// `Connection:` header; it must match what the caller then does with the
-/// connection.
-pub fn respond<S: Write>(
-    stream: &mut S,
-    status: u16,
-    reason: &str,
-    content_type: &str,
-    keep_alive: bool,
-    body: &[u8],
-) -> io::Result<()> {
-    respond_ext(stream, status, reason, content_type, keep_alive, &[], body)
-}
-
-/// [`respond`] with extra headers (e.g. `Allow` on a 405). Header names
-/// and values are the caller's responsibility — no CRLF in either.
-pub fn respond_ext<S: Write>(
-    stream: &mut S,
-    status: u16,
-    reason: &str,
-    content_type: &str,
-    keep_alive: bool,
-    extra_headers: &[(&str, &str)],
-    body: &[u8],
-) -> io::Result<()> {
-    let mut out = Vec::with_capacity(128 + body.len());
-    write_response(
-        &mut out,
-        status,
-        reason,
-        content_type,
-        keep_alive,
-        extra_headers,
-        body,
-    );
-    stream.write_all(&out)?;
-    stream.flush()
 }
 
 #[cfg(test)]
@@ -401,9 +401,153 @@ mod tests {
     }
 
     #[test]
+    fn transfer_encoding_is_refused_before_any_body_is_read() {
+        // Chunked alone: a coding this server does not implement (501).
+        let chunked =
+            b"POST /impute HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n";
+        assert!(matches!(
+            read_request(&mut &chunked[..]),
+            Err(HttpError::NotImplemented("transfer-encoding"))
+        ));
+        // With Content-Length too, in either order: the smuggling shape.
+        for raw in [
+            &b"POST / HTTP/1.1\r\nContent-Length: 5\r\nTransfer-Encoding: chunked\r\n\r\nhello"[..],
+            &b"POST / HTTP/1.1\r\ntransfer-encoding: identity\r\ncontent-length: 5\r\n\r\nhello"[..],
+        ] {
+            assert!(matches!(
+                read_request(&mut &raw[..]),
+                Err(HttpError::Malformed(
+                    "transfer-encoding with content-length"
+                ))
+            ));
+        }
+    }
+
+    /// A reader that hands out at most `step` bytes per `read` call.
+    struct Trickle<'a> {
+        data: &'a [u8],
+        steps: &'a [usize],
+        calls: usize,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let step = self.steps[self.calls % self.steps.len()];
+            self.calls += 1;
+            let n = step.min(buf.len()).min(self.data.len());
+            buf[..n].copy_from_slice(&self.data[..n]);
+            self.data = &self.data[n..];
+            Ok(n)
+        }
+    }
+
+    /// Every request (or the error) a fresh reader parses off `stream`.
+    fn outcomes<S: Read>(mut stream: S) -> Vec<String> {
+        let mut reader = RequestReader::new();
+        let mut out = Vec::new();
+        loop {
+            match reader.read_request(&mut stream) {
+                Ok(Some(r)) => out.push(format!(
+                    "{} {} {:?} {}",
+                    r.method, r.path, r.body, r.keep_alive
+                )),
+                Ok(None) => return out,
+                Err(e) => {
+                    out.push(format!("error: {e}"));
+                    return out;
+                }
+            }
+        }
+    }
+
+    /// `GET /` whose head is exactly `len` bytes long.
+    fn head_of_len(len: usize) -> Vec<u8> {
+        let mut raw = b"GET / HTTP/1.1\r\nX: ".to_vec();
+        assert!(len >= raw.len() + 4);
+        raw.resize(len - 4, b'a');
+        raw.extend_from_slice(b"\r\n\r\n");
+        raw
+    }
+
+    #[test]
+    fn the_head_cap_holds_at_any_read_size() {
+        for len in [MAX_HEAD_BYTES, MAX_HEAD_BYTES + 1, 65_583] {
+            let raw = head_of_len(len);
+            let expected = if len <= MAX_HEAD_BYTES {
+                "GET / [] true"
+            } else {
+                "error: malformed request: header block too large"
+            };
+            for step in [1, 4000, 4096, 70_000] {
+                let got = outcomes(Trickle {
+                    data: &raw,
+                    steps: &[step],
+                    calls: 0,
+                });
+                assert_eq!(got, [expected], "head of {len} bytes, {step}-byte reads");
+            }
+        }
+    }
+
+    /// One generated piece of a request stream.
+    fn piece(kind: u8, seed: u64) -> Vec<u8> {
+        let mut x = seed | 1;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let body_len = (next() % 40) as usize;
+        let body: String = (0..body_len)
+            .map(|i| (b'a' + (i % 26) as u8) as char)
+            .collect();
+        match kind {
+            0 => b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n".to_vec(),
+            1 => format!("POST /impute HTTP/1.1\r\nContent-Length: {body_len}\r\n\r\n{body}")
+                .into_bytes(),
+            2 => format!(
+                "POST /impute HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n{body_len:x}\r\n{body}\r\n0\r\n\r\n"
+            )
+            .into_bytes(),
+            3 => format!(
+                "POST /learn HTTP/1.1\r\nTransfer-Encoding: chunked\r\nContent-Length: {body_len}\r\n\r\n{body}"
+            )
+            .into_bytes(),
+            4 => head_of_len(MAX_HEAD_BYTES - 2 + (next() % 5) as usize),
+            5 => b"GET / HTTP/1.0\nConnection: keep-alive\n\n".to_vec(),
+            _ => {
+                // Random bytes from an alphabet rich in framing tokens.
+                let alphabet = b"GET /\r\n:Content-Length: 0123456789Transfer-Encoding\xff";
+                (0..next() % 120)
+                    .map(|_| alphabet[(next() % alphabet.len() as u64) as usize])
+                    .collect()
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(200))]
+
+        /// Framing must not depend on where the socket splits the bytes:
+        /// any read sizes parse to the requests and error of reading the
+        /// stream in one piece, and nothing panics.
+        #[test]
+        fn framing_is_independent_of_read_sizes(
+            pieces in proptest::collection::vec((0u8..8, 0u64..u64::MAX), 1..6),
+            steps in proptest::collection::vec(1usize..6000, 1..8),
+        ) {
+            let stream: Vec<u8> = pieces.iter().flat_map(|&(k, s)| piece(k, s)).collect();
+            let whole = outcomes(&stream[..]);
+            let split = outcomes(Trickle { data: &stream, steps: &steps, calls: 0 });
+            proptest::prop_assert_eq!(&split, &whole, "read sizes {:?}", steps);
+        }
+    }
+
+    #[test]
     fn response_shape() {
         let mut out = Vec::new();
-        respond(&mut out, 200, "OK", "text/plain", false, b"ok\n").unwrap();
+        write_response(&mut out, 200, "OK", "text/plain", false, &[], b"ok\n");
         let text = String::from_utf8(out).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(text.contains("Content-Length: 3\r\n"));
@@ -411,7 +555,7 @@ mod tests {
         assert!(text.ends_with("\r\n\r\nok\n"));
 
         let mut out = Vec::new();
-        respond(&mut out, 200, "OK", "text/plain", true, b"ok\n").unwrap();
+        write_response(&mut out, 200, "OK", "text/plain", true, &[], b"ok\n");
         let text = String::from_utf8(out).unwrap();
         assert!(text.contains("Connection: keep-alive\r\n"));
     }

@@ -11,15 +11,16 @@
 //! client pays connection setup once, not per query; `Connection: close`
 //! and HTTP/1.0 one-shot clients keep working unchanged.
 //!
-//! Requests funnel through a **micro-batching queue** ([`batch::Batcher`]):
-//! concurrent requests coalesce into one deterministic indexed map over
-//! the shared [`iim_exec::Pool`], each worker serving through the fitted
-//! model's per-thread scratch. Batching can never change an answer —
-//! `impute_one` is a pure function of the fitted state and the query — so
-//! the daemon's fills are **byte-identical** to `iim impute` run offline
-//! on the same queries (asserted end-to-end by the CI serving job).
+//! Each model sits behind a **read-write lock** ([`batch::Batcher`]): a
+//! connection thread runs its request's imputes inline under the read
+//! guard, and a request of many rows fans out on the model's
+//! [`iim_exec::Pool`] under the same guard. Concurrent readers can never
+//! change an answer — `impute_one` is a pure function of the fitted state
+//! and the query — so the daemon's fills are **byte-identical** to
+//! `iim impute` run offline on the same queries (asserted end-to-end by
+//! the CI serving job).
 //!
-//! The queue also carries **streaming ingestion**: `POST /learn` absorbs
+//! **Streaming ingestion** takes the write guard: `POST /learn` absorbs
 //! complete tuples into the live model ([`iim_data::FittedImputer::absorb`])
 //! without a refit, serialized against every impute so each served fill
 //! reflects a definite prefix of the learn stream. With a
@@ -31,8 +32,8 @@
 //! --models-dir DIR`) serves many named models from one daemon:
 //! `POST /models/{name}/impute`, a `PUT /models/{name}` admin route that
 //! stages a new snapshot, and LRU eviction of cold models under a
-//! resident cap. Hot swap rides the batcher's barrier mechanism
-//! ([`Batcher::swap`]).
+//! resident cap. Hot swap replaces the model inside the same write
+//! section ([`Batcher::swap`]).
 //!
 //! # One version per response (atomicity contract)
 //!
@@ -41,14 +42,15 @@
 //! * The fills in one `/impute` response are all produced by the same
 //!   fitted state — bitwise equal to `impute_one` on that state — never a
 //!   mixture of pre- and post-swap (or pre- and post-learn) models.
-//! * A swap or learn acts as a barrier in the request stream: responses
-//!   collectively order into *some* serial interleaving of imputes,
-//!   learns, and swaps. A client that saw a swap's (or learn's) response
-//!   complete is guaranteed every later fill reflects it.
+//! * A swap or learn holds the write guard, a barrier in the request
+//!   stream: responses collectively order into *some* serial interleaving
+//!   of imputes, learns, and swaps. A client that saw a swap's (or
+//!   learn's) response complete is guaranteed every later fill reflects
+//!   it.
 //! * No request is dropped by a swap, an LRU eviction, a `DELETE`, or a
-//!   graceful shutdown: work already enqueued is always answered (the
-//!   batcher drains its queue before its thread exits). Requests arriving
-//!   after shutdown began get a clean `503`.
+//!   graceful shutdown: a request already admitted is always answered,
+//!   and an evicted tenant still answers the requests holding it.
+//!   Requests arriving after shutdown began get a clean `503`.
 //!
 //! ```no_run
 //! use iim_serve::{ServeConfig, Server};
@@ -338,6 +340,159 @@ mod tests {
         assert!(response.starts_with("HTTP/1.1 400"), "{response}");
         assert!(response.contains("duplicate content-length"), "{response}");
         handle.shutdown();
+    }
+
+    /// Sends `raw` on a fresh connection and reads until the daemon
+    /// closes it (the read times out, failing the test, if it never does).
+    fn exchange_until_close(addr: std::net::SocketAddr, raw: &str) -> String {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+            .unwrap();
+        stream.write_all(raw.as_bytes()).unwrap();
+        let mut out = String::new();
+        stream.read_to_string(&mut out).unwrap();
+        out
+    }
+
+    /// RFC 9112 §6.1/§6.3: a body framed by a transfer coding is refused
+    /// before it is read, with exactly one response and a close — its
+    /// bytes must never be parsed as a second request.
+    #[test]
+    fn transfer_encoding_gets_one_response_then_eof() {
+        let handle = start();
+        let addr = handle.addr();
+        let chunks = "c\r\nA1,A2\n5.0,?\n\r\n0\r\n\r\n";
+
+        let chunked = exchange_until_close(
+            addr,
+            &format!(
+                "POST /impute HTTP/1.1\r\nHost: t\r\nTransfer-Encoding: chunked\r\n\r\n{chunks}"
+            ),
+        );
+        assert_eq!(chunked.matches("HTTP/1.1 ").count(), 1, "{chunked}");
+        assert!(chunked.starts_with("HTTP/1.1 501"), "{chunked}");
+        assert!(chunked.contains("Connection: close"), "{chunked}");
+
+        let both = exchange_until_close(
+            addr,
+            &format!(
+                "POST /impute HTTP/1.1\r\nHost: t\r\nContent-Length: 12\r\n\
+                 Transfer-Encoding: chunked\r\n\r\n{chunks}"
+            ),
+        );
+        assert_eq!(both.matches("HTTP/1.1 ").count(), 1, "{both}");
+        assert!(both.starts_with("HTTP/1.1 400"), "{both}");
+        assert!(both.contains("Connection: close"), "{both}");
+
+        handle.shutdown();
+    }
+
+    /// One `/learn` row whose square overflows must not poison the model:
+    /// 422, unchanged fills, and (checkpointing every row) unchanged
+    /// snapshot bytes.
+    #[test]
+    fn an_overflowing_learn_row_is_422_and_changes_nothing() {
+        let dir = std::env::temp_dir().join(format!("iim-serve-overflow-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("model.iim");
+        iim_persist::save_path(fitted().as_ref(), &path).unwrap();
+        let snapshot = std::fs::read(&path).unwrap();
+        let server = Server::bind(
+            fitted(),
+            &ServeConfig {
+                addr: "127.0.0.1:0".into(),
+                threads: 2,
+                checkpoint: Some(CheckpointConfig {
+                    path: path.clone(),
+                    every: 1,
+                    truncate_to: None,
+                }),
+                ..ServeConfig::default()
+            },
+        )
+        .unwrap();
+        let handle = server.spawn().unwrap();
+        let addr = handle.addr();
+
+        let before = post_impute(addr, "A1,A2\n4.5,?\n");
+        assert!(before.starts_with("HTTP/1.1 200"), "{before}");
+        let bad = post(addr, "/learn", "A1,A2\n1.01,1e200\n");
+        assert!(bad.starts_with("HTTP/1.1 422"), "{bad}");
+        let after = post_impute(addr, "A1,A2\n4.5,?\n");
+        assert_eq!(
+            served_cell(&before, 1, 1).to_bits(),
+            served_cell(&after, 1, 1).to_bits()
+        );
+        assert_eq!(std::fs::read(&path).unwrap(), snapshot);
+
+        handle.shutdown();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Rows buffered under `every > 1` reach the snapshot when
+    /// `ServerHandle::shutdown` returns — even while an idle keep-alive
+    /// connection still holds the backend.
+    #[test]
+    fn shutdown_flushes_buffered_checkpoint_rows() {
+        let dir = std::env::temp_dir().join(format!("iim-serve-flush-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("model.iim");
+        iim_persist::save_path(fitted().as_ref(), &path).unwrap();
+        let server = Server::bind(
+            fitted(),
+            &ServeConfig {
+                addr: "127.0.0.1:0".into(),
+                threads: 2,
+                checkpoint: Some(CheckpointConfig {
+                    path: path.clone(),
+                    every: 10,
+                    truncate_to: None,
+                }),
+                ..ServeConfig::default()
+            },
+        )
+        .unwrap();
+        let handle = server.spawn().unwrap();
+        let addr = handle.addr();
+
+        let rows = [[4.6, 2.0], [5.4, 1.5], [0.4, 5.1]];
+        for row in &rows {
+            let resp = post(addr, "/learn", &format!("A1,A2\n{},{}\n", row[0], row[1]));
+            assert!(resp.starts_with("HTTP/1.1 200"), "{resp}");
+        }
+        let absorbed_on_disk = || {
+            iim_persist::inspect(&std::fs::read(&path).unwrap())
+                .unwrap()
+                .absorbed_rows
+        };
+        assert_eq!(absorbed_on_disk(), 0, "every = 10 buffers the rows");
+
+        // An idle keep-alive connection, its thread parked in a read.
+        let mut idle = TcpStream::connect(addr).unwrap();
+        idle.write_all(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+            .unwrap();
+        assert!(read_one_response(&mut idle).starts_with("HTTP/1.1 200"));
+
+        handle.shutdown();
+        assert_eq!(absorbed_on_disk(), 3);
+        let loaded = iim_persist::load_from_slice(&std::fs::read(&path).unwrap()).unwrap();
+        let mut reference = fitted();
+        for row in &rows {
+            reference.absorb(row).unwrap();
+        }
+        for q in [[Some(4.5), None], [None, Some(2.0)], [Some(0.5), None]] {
+            let (a, b) = (
+                loaded.impute_one(&q).unwrap(),
+                reference.impute_one(&q).unwrap(),
+            );
+            assert_eq!(
+                a.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                b.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+            );
+        }
+        drop(idle);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -1,37 +1,40 @@
 //! Multi-tenant model registry: named, versioned snapshots on disk, each
-//! served by its own micro-batching [`Batcher`] once touched.
+//! served by its own [`Batcher`] once touched.
 //!
 //! The filesystem is the source of truth: a model named `prices` is the
 //! file `<dir>/prices.iim` (an `iim-persist` snapshot, any supported
 //! format version). The registry keeps at most `max_resident` models live
 //! at once; a request for a cold model **activates** it transparently
-//! (read + validate-then-view load + batcher spawn) and the
-//! least-recently-used tenant is evicted to make room.
+//! (read + validate-then-view load) and the least-recently-used tenant is
+//! evicted to make room.
 //!
 //! # Consistency contract
 //!
 //! * **Hot swap is atomic.** [`Registry::stage`] on a resident model
-//!   validates the incoming snapshot, writes it to a temp file, and hands
-//!   both to [`Batcher::swap`]: the rename over the live file happens
-//!   inside the batcher's barrier, after the outgoing model's final
-//!   checkpoint flush. Every request is therefore answered by exactly one
-//!   model version — bitwise equal to some serial interleaving of
-//!   requests and the swap — and the file on disk never disagrees with
-//!   the live model about which version absorbed a tuple.
-//! * **Eviction drops no requests.** Tenants are removed from the map
-//!   under the registry lock but dropped outside it; a [`Batcher`] drains
-//!   its whole queue before its thread exits, so requests already
-//!   enqueued on an evicted tenant still get answers.
+//!   validates the incoming snapshot, writes it to a temp file, and
+//!   replaces the model inside the tenant's write section (see
+//!   [`Batcher::swap`]): the rename over the live file happens after the
+//!   outgoing model's final checkpoint flush. Every request is therefore
+//!   answered by exactly one model version — bitwise equal to some serial
+//!   interleaving of requests and the swap — and the file on disk never
+//!   disagrees with the live model about which version absorbed a tuple.
+//!   A query header is checked against the schema of the version that
+//!   answers it, under the same guard.
+//! * **Eviction drops no requests.** Each tenant's [`Batcher`] sits in an
+//!   `Arc`: a request clones it under the registry lock and runs outside
+//!   it, so an evicted tenant still answers the requests already holding
+//!   it.
 //! * **Eviction loses no learns.** Every resident tenant checkpoints with
 //!   `every = 1`: each absorbed tuple is appended to the model's snapshot
-//!   as a delta record inside the learn barrier, so reactivation replays
-//!   the model to the exact state eviction tore down (the standing
+//!   as a delta record inside the learn's write section, so reactivation
+//!   replays the model to the exact state eviction tore down (the standing
 //!   snapshot-load bitwise guarantee).
 //!
-//! Activation and staging hold the registry lock (a big model load briefly
-//! blocks other tenants' *enqueue*, not their in-flight compute); imputes
-//! and learns enqueue under the lock and block on their reply outside it,
-//! so tenants never serialize behind each other's batches.
+//! Activation and staging hold the registry lock (a big model load or a
+//! swap waiting for a tenant's in-flight reads briefly blocks other
+//! tenants' *lookups*, not their in-flight compute); imputes and learns
+//! hold it only to clone the tenant's handle, so tenants never serialize
+//! behind each other's compute.
 
 use crate::batch::{
     Batcher, CheckpointConfig, LearnReply, QueryBlock, QueryRow, RowResult, SubmitRejected,
@@ -48,14 +51,15 @@ use std::sync::{Arc, Mutex, MutexGuard};
 pub struct RegistryConfig {
     /// Directory holding `<name>.iim` snapshots.
     pub dir: PathBuf,
-    /// Maximum number of models resident (batcher live) at once; colder
-    /// models are evicted LRU and reactivate on demand.
+    /// Maximum number of models resident (loaded and serving) at once;
+    /// colder models are evicted LRU and reactivate on demand.
     pub max_resident: usize,
     /// Worker threads per tenant pool (`0` = the shared process default).
     pub threads: usize,
-    /// Per-tenant micro-batch queue cap ([`Batcher::set_max_queue`]):
-    /// submits beyond it are shed as [`RegistryError::Overloaded`].
-    /// `0` = unbounded. Default [`DEFAULT_MAX_QUEUE`].
+    /// Per-tenant cap on admitted, unanswered requests
+    /// ([`Batcher::set_max_queue`]): requests beyond it are shed as
+    /// [`RegistryError::Overloaded`]. `0` = unbounded. Default
+    /// [`DEFAULT_MAX_QUEUE`].
     pub max_queue: usize,
 }
 
@@ -91,10 +95,10 @@ pub enum RegistryError {
         /// Column names the model was trained on.
         model: Vec<String>,
     },
-    /// The tenant's batcher is gone (panicked model or shutdown).
+    /// The tenant is shut down, or its model panicked.
     Unavailable,
-    /// The tenant's micro-batch queue is at its cap; the request was shed
-    /// without running. Retrying is always safe.
+    /// The tenant is at its admission cap; the request was shed without
+    /// running. Retrying is always safe.
     Overloaded,
     /// A staged swap could not be applied; the old model keeps serving.
     StageFailed(String),
@@ -114,7 +118,7 @@ impl std::fmt::Display for RegistryError {
                 "query header {query:?} does not match the model's schema {model:?}"
             ),
             RegistryError::Unavailable => write!(f, "model backend unavailable"),
-            RegistryError::Overloaded => write!(f, "model queue full; retry shortly"),
+            RegistryError::Overloaded => write!(f, "model at its request cap; retry shortly"),
             RegistryError::StageFailed(why) => write!(f, "stage failed: {why}"),
         }
     }
@@ -155,7 +159,7 @@ pub struct ModelInfo {
     /// Snapshot container format version on disk (2 = owned parse,
     /// 3 = validate-then-view).
     pub snapshot_version: u16,
-    /// Whether a batcher is live for this model right now.
+    /// Whether this model is loaded and serving right now.
     pub resident: bool,
     /// Whether the model supports `POST /learn`.
     pub can_absorb: bool,
@@ -177,8 +181,7 @@ pub struct StageOutcome {
 }
 
 struct Tenant {
-    batcher: Batcher,
-    schema: Arc<[String]>,
+    batcher: Arc<Batcher>,
     version: u16,
     last_used: u64,
 }
@@ -293,19 +296,22 @@ impl Registry {
     /// comes from [`iim_persist::inspect`] on its file.
     pub fn info(&self, name: &str) -> Result<ModelInfo, RegistryError> {
         let path = self.path_for(name)?;
-        {
-            let inner = lock_inner(&self.inner);
-            if let Some(t) = inner.resident.get(name) {
-                return Ok(ModelInfo {
-                    name: name.to_string(),
-                    method: t.batcher.model_name(),
-                    snapshot_version: t.version,
-                    resident: true,
-                    can_absorb: t.batcher.can_absorb(),
-                    absorbed: t.batcher.absorbed(),
-                    schema: t.schema.to_vec(),
-                });
-            }
+        // Read a resident card outside the registry lock: it may wait for
+        // the tenant's write section.
+        let resident = lock_inner(&self.inner)
+            .resident
+            .get(name)
+            .map(|t| (Arc::clone(&t.batcher), t.version));
+        if let Some((batcher, version)) = resident {
+            return Ok(ModelInfo {
+                name: name.to_string(),
+                method: batcher.model_name(),
+                snapshot_version: version,
+                resident: true,
+                can_absorb: batcher.can_absorb(),
+                absorbed: batcher.absorbed(),
+                schema: batcher.schema().to_vec(),
+            });
         }
         let bytes = read_model(&path, name)?;
         let info = iim_persist::inspect(&bytes).map_err(RegistryError::Load)?;
@@ -324,14 +330,12 @@ impl Registry {
         })
     }
 
-    /// Runs `f` on the (activated, LRU-bumped) tenant under the registry
-    /// lock. `f` must not block — submit jobs and return receivers.
-    /// Evicted tenants are returned to the caller so their (draining)
-    /// drop happens outside the lock.
-    fn with_tenant<R>(&self, name: &str, f: impl FnOnce(&Tenant) -> R) -> Result<R, RegistryError> {
+    /// The (activated, LRU-bumped) tenant's handle, cloned under the
+    /// registry lock. Evicted tenants are dropped outside it.
+    fn tenant(&self, name: &str) -> Result<Arc<Batcher>, RegistryError> {
         let path = self.path_for(name)?;
         let mut evicted: Vec<Tenant> = Vec::new();
-        let out = {
+        let batcher = {
             let mut inner = lock_inner(&self.inner);
             if !inner.resident.contains_key(name) {
                 let bytes = read_model(&path, name)?;
@@ -344,22 +348,22 @@ impl Registry {
                     model,
                     self.threads,
                     // every = 1: each absorbed tuple hits disk inside the
-                    // learn barrier, making eviction lossless. A torn tail
-                    // the load recovered past is truncated away before the
-                    // next delta lands, so damage never precedes a valid
-                    // record.
+                    // learn's write section, making eviction lossless. A
+                    // torn tail the load recovered past is truncated away
+                    // before the next delta lands, so damage never
+                    // precedes a valid record.
                     Some(CheckpointConfig {
                         path: path.clone(),
                         every: 1,
                         truncate_to: info.recovered_at,
                     }),
-                )?;
+                )?
+                .with_schema(info.schema.into());
                 batcher.set_max_queue(self.max_queue);
                 inner.resident.insert(
                     name.to_string(),
                     Tenant {
-                        batcher,
-                        schema: info.schema.into(),
+                        batcher: Arc::new(batcher),
                         version: info.version,
                         last_used: 0,
                     },
@@ -386,13 +390,12 @@ impl Registry {
             let clock = inner.clock;
             let tenant = inner.resident.get_mut(name).expect("just inserted");
             tenant.last_used = clock;
-            f(&*tenant)
+            Arc::clone(&tenant.batcher)
         };
-        // Dropping a Batcher drains its queue (answering anything already
-        // enqueued) and flushes its checkpoint — outside the lock, so a
-        // slow drain never stalls other tenants.
+        // The last handle of an evicted tenant flushes its checkpoint on
+        // drop — outside the lock, so it never stalls other tenants.
         drop(evicted);
-        Ok(out)
+        Ok(batcher)
     }
 
     fn check_schema(schema: &[String], header: &[String]) -> Result<(), RegistryError> {
@@ -413,11 +416,10 @@ impl Registry {
         header: &[String],
         rows: Vec<QueryRow>,
     ) -> Result<Vec<RowResult>, RegistryError> {
-        let rx = self.with_tenant(name, |t| {
-            Self::check_schema(&t.schema, header)?;
-            t.batcher.submit_impute(rows).map_err(RegistryError::from)
-        })??;
-        rx.recv().map_err(|_| RegistryError::Unavailable)
+        self.tenant(name)?.read(|s, pool| {
+            Self::check_schema(&s.schema, header)?;
+            Ok(s.impute(pool, rows.len(), |i| rows[i].as_slice()))
+        })?
     }
 
     /// [`Registry::impute`] for a flat [`QueryBlock`] — the daemon's
@@ -428,13 +430,10 @@ impl Registry {
         header: &[String],
         rows: QueryBlock,
     ) -> Result<Vec<RowResult>, RegistryError> {
-        let rx = self.with_tenant(name, |t| {
-            Self::check_schema(&t.schema, header)?;
-            t.batcher
-                .submit_impute_block(rows)
-                .map_err(RegistryError::from)
-        })??;
-        rx.recv().map_err(|_| RegistryError::Unavailable)
+        self.tenant(name)?.read(|s, pool| {
+            Self::check_schema(&s.schema, header)?;
+            Ok(s.impute(pool, rows.len(), |i| rows.row(i)))
+        })?
     }
 
     /// Absorbs complete tuples into model `name`, activating it if cold.
@@ -446,19 +445,18 @@ impl Registry {
         header: &[String],
         rows: Vec<Vec<f64>>,
     ) -> Result<LearnReply, RegistryError> {
-        let rx = self.with_tenant(name, |t| {
-            Self::check_schema(&t.schema, header)?;
-            t.batcher.submit_learn(rows).map_err(RegistryError::from)
-        })??;
-        rx.recv().map_err(|_| RegistryError::Unavailable)
+        self.tenant(name)?.write(true, |s| {
+            Self::check_schema(&s.schema, header)?;
+            Ok(s.learn(&rows))
+        })?
     }
 
     /// Stages snapshot `bytes` as model `name`: validate (full load —
     /// checksum, bounds, delta replay), write to a temp file in the
     /// registry directory, then move it into place. If the model is
     /// resident, the move and the model replacement happen atomically
-    /// inside the tenant's swap barrier (zero dropped or mixed requests);
-    /// otherwise the temp file is renamed directly.
+    /// inside the tenant's write section (zero dropped or mixed
+    /// requests); otherwise the temp file is renamed directly.
     pub fn stage(&self, name: &str, bytes: &[u8]) -> Result<StageOutcome, RegistryError> {
         let dst = self.path_for(name)?;
         // Fail point: a snapshot that passes checksum but is rejected by
@@ -468,7 +466,7 @@ impl Registry {
                 "fault injected: registry.stage.validate".into(),
             ));
         }
-        let (model, _info) =
+        let (model, info) =
             iim_persist::load_from_slice_with_info(bytes).map_err(RegistryError::Load)?;
         let method = model.name().to_string();
         let tmp = self.dir.join(format!(".{name}.iim.tmp"));
@@ -492,19 +490,24 @@ impl Registry {
         let mut inner = lock_inner(&self.inner);
         let swapped = match inner.resident.get_mut(name) {
             Some(tenant) => {
-                let outcome = tenant.batcher.swap(
-                    model,
-                    Some((tmp.clone(), dst.clone())),
-                    Some(CheckpointConfig {
-                        path: dst.clone(),
-                        every: 1,
-                        truncate_to: None,
-                    }),
-                );
+                let schema: Arc<[String]> = info.schema.into();
+                let outcome = tenant.batcher.write(false, |s| {
+                    let out = s.replace(
+                        model,
+                        Some((tmp.clone(), dst.clone())),
+                        Some(CheckpointConfig {
+                            path: dst.clone(),
+                            every: 1,
+                            truncate_to: None,
+                        }),
+                    );
+                    if out.is_ok() {
+                        s.schema = schema;
+                    }
+                    out
+                });
                 match outcome {
                     Ok(Ok(_)) => {
-                        let info = iim_persist::inspect(bytes).map_err(RegistryError::Load)?;
-                        tenant.schema = info.schema.into();
                         tenant.version = info.version;
                         true
                     }
@@ -526,15 +529,17 @@ impl Registry {
         Ok(StageOutcome { method, swapped })
     }
 
-    /// Removes model `name`: its tenant (if resident) is torn down
-    /// gracefully (in-flight requests drain) and its file deleted.
+    /// Removes model `name`: its tenant (if resident) is shut down once
+    /// the requests running on it finish, and its file deleted.
     pub fn delete(&self, name: &str) -> Result<(), RegistryError> {
         let path = self.path_for(name)?;
         let tenant = {
             let mut inner = lock_inner(&self.inner);
             inner.resident.remove(name)
         };
-        drop(tenant); // drains outside the lock
+        if let Some(t) = tenant {
+            t.batcher.shutdown(); // outside the lock
+        }
         match std::fs::remove_file(&path) {
             Ok(()) => Ok(()),
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
@@ -560,12 +565,17 @@ impl Registry {
         Ok(was)
     }
 
-    /// Signals every resident tenant's batcher to stop accepting work
-    /// (their queues still drain). Used by graceful daemon shutdown.
+    /// Shuts every resident tenant down ([`Batcher::shutdown`]): new
+    /// requests are refused and buffered checkpoint rows are on disk when
+    /// this returns. Used by graceful daemon shutdown.
     pub fn shutdown(&self) {
-        let inner = lock_inner(&self.inner);
-        for tenant in inner.resident.values() {
-            tenant.batcher.shutdown();
+        let tenants: Vec<Arc<Batcher>> = lock_inner(&self.inner)
+            .resident
+            .values()
+            .map(|t| Arc::clone(&t.batcher))
+            .collect();
+        for batcher in tenants {
+            batcher.shutdown();
         }
     }
 }

@@ -1,5 +1,5 @@
-//! The daemon: a TCP accept loop routing HTTP requests onto the
-//! micro-batching queue(s).
+//! The daemon: a TCP accept loop, one thread per connection, each thread
+//! serving its requests inline against the model's read-write lock.
 //!
 //! # Endpoints — single-model mode (`iim serve MODEL.iim`)
 //!
@@ -50,16 +50,16 @@
 //! per-connection buffer and shipped with one `write_all` (plus
 //! `TCP_NODELAY`), so a pipelined burst never stalls on Nagle/delayed-ACK
 //! interactions. Requests on one connection are served strictly in order;
-//! concurrency comes from many connections, which still coalesce in the
-//! micro-batcher.
+//! concurrency comes from many connections, whose imputes run in parallel
+//! under the model's read guard.
 //!
 //! # Atomicity
 //!
-//! `/learn` rides the same micro-batching queue as `/impute`, so learns
-//! and imputes **serialize deterministically**: a fill served after a
-//! learn's response arrived reflects that learn, and no fill ever
-//! observes a half-absorbed batch (see [`crate::batch`]). A method
-//! without incremental learning (most baselines) answers `422`.
+//! `/learn` takes the model's write guard, which `/impute`'s read guard
+//! excludes, so learns and imputes **serialize deterministically**: a
+//! fill served after a learn's response arrived reflects that learn, and
+//! no fill ever observes a half-absorbed batch (see [`crate::batch`]). A
+//! method without incremental learning (most baselines) answers `422`.
 //!
 //! Hot swap extends the same guarantee across versions: every response is
 //! served by **exactly one model version** — the fills in one response are
@@ -75,10 +75,10 @@
 //!   beyond the cap is answered with a canned `503` + `Retry-After: 1`
 //!   and closed on the accept thread — no connection thread is spawned,
 //!   so saturating the daemon with connections costs it almost nothing.
-//! - **Bounded queue** ([`ServeConfig::max_queue`]): a request that
-//!   would push the micro-batch queue past its cap is shed with `503` +
-//!   `Retry-After: 1` instead of queueing unboundedly (see
-//!   [`crate::batch::SubmitRejected`]).
+//! - **Bounded admission** ([`ServeConfig::max_queue`]): a request that
+//!   would push the model's admitted, unanswered requests past the cap is
+//!   shed with `503` + `Retry-After: 1` instead of waiting unboundedly
+//!   (see [`crate::batch::SubmitRejected`]).
 //! - **Write timeouts** ([`ServeConfig::write_timeout`]): a peer that
 //!   stops draining its socket fails the response write instead of
 //!   pinning the connection thread forever, and the connection is
@@ -135,9 +135,10 @@ pub struct ServeConfig {
     /// its socket fails the response write and is evicted instead of
     /// pinning the connection thread. `0` disables. Default 60 s.
     pub write_timeout: Duration,
-    /// Micro-batch queue cap ([`Batcher::set_max_queue`]): submits
-    /// beyond it are shed with `503` + `Retry-After`. `0` = unbounded.
-    /// Default [`DEFAULT_MAX_QUEUE`].
+    /// Cap on admitted, unanswered requests per model
+    /// ([`Batcher::set_max_queue`]): requests beyond it are shed with
+    /// `503` + `Retry-After`. `0` = unbounded. Default
+    /// [`DEFAULT_MAX_QUEUE`].
     pub max_queue: usize,
     /// Torn-tail recoveries observed while loading the served snapshot
     /// (0 or 1; see `iim_persist::SnapshotInfo::recovered_at`), seeded
@@ -172,7 +173,7 @@ struct Ops {
     /// Currently open connections (the accept-time cap's gauge).
     active: AtomicUsize,
     /// Connections and requests shed with a fast `503` + `Retry-After`
-    /// (accept-time cap plus queue-cap rejections).
+    /// (accept-time cap plus admission-cap rejections).
     shed: AtomicUsize,
     /// Connections evicted because a response write failed or timed out.
     evicted: AtomicUsize,
@@ -240,9 +241,9 @@ impl ServerHandle {
         self.addr
     }
 
-    /// Stops the accept loop and joins the daemon thread. In-flight
-    /// batches finish and buffered checkpoint deltas flush before this
-    /// returns (the backend drains on drop).
+    /// Stops the accept loop and joins the daemon thread. The backend
+    /// refuses new work and its buffered checkpoint deltas are on disk
+    /// before this returns; requests already running finish.
     pub fn shutdown(self) {
         self.stop.store(true, Ordering::SeqCst);
         // Nudge the (blocking) accept loop awake.
@@ -252,9 +253,9 @@ impl ServerHandle {
 }
 
 impl Server {
-    /// Binds the daemon and starts its batcher, which takes ownership of
-    /// the model (the model is ready to serve as soon as this returns;
-    /// `run`/`spawn` only accept sockets).
+    /// Binds the daemon and takes ownership of the model (the model is
+    /// ready to serve as soon as this returns; `run`/`spawn` only accept
+    /// sockets).
     pub fn bind(model: Box<dyn FittedImputer>, cfg: &ServeConfig) -> std::io::Result<Self> {
         let listener = TcpListener::bind(&cfg.addr)?;
         let batcher = Arc::new(Batcher::start(model, cfg.threads, cfg.checkpoint.clone())?);
@@ -308,23 +309,6 @@ impl Server {
         }
     }
 
-    /// The served model's method name (single-model mode; registry mode
-    /// reports `"registry"`).
-    pub fn model_name(&self) -> String {
-        match self.backend.as_ref() {
-            Backend::Single { batcher, .. } => batcher.model_name(),
-            Backend::Registry(_) => "registry".into(),
-        }
-    }
-
-    /// The served model's attribute count (0 in registry mode).
-    pub fn arity(&self) -> usize {
-        match self.backend.as_ref() {
-            Backend::Single { batcher, .. } => batcher.arity(),
-            Backend::Registry(_) => 0,
-        }
-    }
-
     /// Runs the accept loop on the calling thread until `stop` is set
     /// (never, unless a [`Server::spawn`]ed handle shuts it down).
     pub fn run(self) {
@@ -352,8 +336,8 @@ impl Server {
             let ops = Arc::clone(&self.ops);
             let threads = self.threads;
             // Thread-per-connection: with keep-alive, one thread serves a
-            // client's whole request stream; the heavy lifting happens on
-            // the shared pool, so this stays cheap and simple.
+            // client's whole request stream and runs its imputes inline;
+            // only large requests fan out on the pool.
             let spawned = std::thread::Builder::new()
                 .name("iim-serve-conn".into())
                 .spawn(move || {
@@ -373,12 +357,13 @@ impl Server {
                 self.ops.active.fetch_sub(1, Ordering::SeqCst);
             }
         }
+        // Refuse new work and put buffered checkpoint rows on disk
+        // before returning, even while idle keep-alive connections still
+        // hold the backend.
         match self.backend.as_ref() {
             Backend::Single { batcher, .. } => batcher.shutdown(),
             Backend::Registry(reg) => reg.shutdown(),
         }
-        // Dropping `self.backend` (last ref once connections finish)
-        // joins the batcher threads: queues drain, checkpoints flush.
     }
 
     /// Runs the accept loop on a background thread, returning a handle
@@ -551,6 +536,16 @@ fn handle_connection(stream: TcpStream, backend: Arc<Backend>, threads: usize, o
             Ok(Some(r)) => r,
             // Clean end of stream (or idle timeout) at a request boundary.
             Ok(None) => return,
+            Err(HttpError::NotImplemented(what)) => {
+                conn.keep_alive = false;
+                conn.respond(
+                    501,
+                    "Not Implemented",
+                    "text/plain",
+                    format!("{what} is not supported; send a Content-Length body\n").as_bytes(),
+                );
+                return;
+            }
             Err(HttpError::TooLarge) => {
                 conn.keep_alive = false;
                 conn.respond(
@@ -780,7 +775,7 @@ fn model_card_json(card: &crate::registry::ModelInfo, with_schema: bool) -> Stri
 /// Maps a [`RegistryError`] to its HTTP response.
 fn registry_error(conn: &mut Conn, e: &RegistryError) {
     if matches!(e, RegistryError::Overloaded) {
-        // Queue-cap shedding keeps its Retry-After hint in registry mode.
+        // Admission-cap shedding keeps its Retry-After hint in registry mode.
         return overloaded(conn);
     }
     let (status, reason, label) = match e {
@@ -811,8 +806,8 @@ fn bad_request(conn: &mut Conn, msg: String) {
 }
 
 fn backend_unavailable(conn: &mut Conn) {
-    // Shutdown in progress, or the batcher died on a panicking model
-    // (its poison guard fails requests instead of wedging them).
+    // Shutdown in progress, or the model panicked (the handle is marked
+    // dead and fails requests instead of wedging them).
     conn.respond(
         503,
         "Service Unavailable",
@@ -821,8 +816,8 @@ fn backend_unavailable(conn: &mut Conn) {
     );
 }
 
-/// The micro-batch queue is at its cap: shed the request with a
-/// `Retry-After` hint instead of queueing unboundedly. Nothing ran, so
+/// The model is at its admission cap: shed the request with a
+/// `Retry-After` hint instead of waiting unboundedly. Nothing ran, so
 /// retrying is always safe.
 fn overloaded(conn: &mut Conn) {
     conn.ops.shed.fetch_add(1, Ordering::Relaxed);
@@ -831,7 +826,7 @@ fn overloaded(conn: &mut Conn) {
         "Service Unavailable",
         "text/plain",
         &[("Retry-After", "1")],
-        b"imputation queue full; retry shortly\n",
+        b"imputation backend at its request cap; retry shortly\n",
     );
 }
 

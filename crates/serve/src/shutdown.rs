@@ -1,11 +1,11 @@
 //! Graceful daemon shutdown on `SIGTERM` / `SIGINT` (ctrl-c).
 //!
-//! `iim serve` used to run until killed, which meant `kill` (SIGTERM)
-//! tore the process down mid-batch and dropped any buffered checkpoint
-//! deltas. Now the daemon installs handlers for both signals, parks the
-//! main thread on [`wait`], and on delivery unwinds cleanly: the accept
-//! loop stops, in-flight batches finish (batchers drain their queues
-//! before their threads exit), buffered checkpoint deltas flush, and the
+//! Without a handler, `kill` (SIGTERM) would tear the process down
+//! mid-request and drop any buffered checkpoint deltas. The daemon
+//! installs handlers for both signals, parks the main thread on [`wait`],
+//! and on delivery unwinds cleanly: the accept loop stops, each model
+//! refuses new work and flushes its buffered checkpoint deltas under its
+//! write guard (after the requests holding the guard finish), and the
 //! process exits `0`.
 //!
 //! The handler itself only stores into a `static AtomicBool` — the one
@@ -77,7 +77,7 @@ pub fn request() {
 
 /// Parks the calling thread until shutdown is requested, polling the flag
 /// (a signal handler can't unblock a condvar safely, and 50 ms of exit
-/// latency is invisible next to batch drain).
+/// latency is invisible next to a checkpoint flush).
 pub fn wait() {
     while !requested() {
         std::thread::sleep(Duration::from_millis(50));

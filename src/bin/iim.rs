@@ -398,8 +398,8 @@ fn fit(args: &[String]) -> ExitCode {
 
 /// `iim serve MODEL.iim` / `iim serve --models-dir DIR`: a long-lived
 /// HTTP daemon over one snapshot or a whole model registry. Exits `0` on
-/// `SIGTERM`/ctrl-c after draining in-flight batches and flushing any
-/// buffered checkpoint deltas (see `iim_serve::shutdown`).
+/// `SIGTERM`/ctrl-c after flushing any buffered checkpoint deltas (see
+/// `iim_serve::shutdown`).
 fn serve_daemon(args: &[String]) -> ExitCode {
     let flags = match parse_flags(args) {
         Ok(f) => f,
@@ -519,8 +519,9 @@ fn serve_daemon(args: &[String]) -> ExitCode {
         load_s.as_secs_f64(),
     );
     // Park until SIGTERM/SIGINT, then drain: stop accepting, join the
-    // accept thread, let batcher drops flush checkpoints — and exit 0 so
-    // supervisors (and serve_e2e.sh) can tell a clean stop from a crash.
+    // accept thread, which refuses new work and flushes buffered
+    // checkpoint rows before it exits — and exit 0 so supervisors (and
+    // serve_e2e.sh) can tell a clean stop from a crash.
     iim_serve::shutdown::install();
     let handle = match server.spawn() {
         Ok(h) => h,

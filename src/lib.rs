@@ -130,7 +130,7 @@
 //! | [`ml`] | `iim-ml` | k-means + purity, kNN classifier + F1 (Table VII) |
 //! | [`datagen`] | `iim-datagen` | calibrated analogs of ASF, CCS, CCPP, SN, PHASE, CA, DA, MAM, HEP |
 //! | [`persist`] | `iim-persist` | versioned binary model snapshots (save/load every fitted imputer bit-exactly) |
-//! | [`serve`] | `iim-serve` | std-only HTTP/1.1 daemon over a micro-batching queue |
+//! | [`serve`] | `iim-serve` | std-only HTTP/1.1 daemon; reads run inline under a per-model read-write lock |
 //!
 //! Experiments: `cargo run -p iim-bench --release --bin all` regenerates
 //! every table and figure into `bench_results/`.

@@ -240,3 +240,55 @@ fn absorb_support_is_exact_over_the_lineup() {
         }
     }
 }
+
+/// A row with a cell past √f64::MAX (≈1.34e154) squares to infinity in
+/// the Gram sums, which would poison every later fill of the model for
+/// good. `absorb` must refuse it before any attribute model changes.
+#[test]
+fn an_absorb_row_with_an_overflowing_square_is_refused_and_changes_nothing() {
+    let rows: Vec<Vec<f64>> = (0..60)
+        .map(|i| {
+            let x = i as f64 * 0.1;
+            vec![x, 2.0 * x + 1.0 + 0.1 * (i as f64).sin(), 0.5 * x - 3.0]
+        })
+        .collect();
+    let rel = Relation::from_rows(Schema::anonymous(3), &rows);
+    let queries = [
+        vec![Some(1.01), None, Some(-2.5)],
+        vec![None, Some(4.0), Some(-2.0)],
+        vec![Some(3.0), Some(7.0), None],
+    ];
+    for name in ["IIM", "GLR", "Mean"] {
+        let method = iim::methods::by_name(name, 5, 9).expect("method in lineup");
+        let mut model = method.fit(&rel).expect("fit");
+        let fills = |m: &dyn FittedImputer| -> Vec<u64> {
+            queries
+                .iter()
+                .flat_map(|q| m.impute_one(q).expect("impute"))
+                .map(f64::to_bits)
+                .collect()
+        };
+        let before = fills(model.as_ref());
+        for bad in [1e200, -1.35e154, f64::MAX] {
+            for col in 0..3 {
+                let mut row = vec![1.0, 3.0, -2.5];
+                row[col] = bad;
+                assert!(
+                    matches!(model.absorb(&row), Err(ImputeError::Unsupported(_))),
+                    "{name}: absorbing {bad} in column {col} must be refused"
+                );
+            }
+        }
+        assert_eq!(model.absorbed(), 0, "{name}");
+        assert_eq!(
+            fills(model.as_ref()),
+            before,
+            "{name}: a refused row moved a fill"
+        );
+        // The largest finite-square magnitudes still absorb.
+        model
+            .absorb(&[1.0, 1e150, -2.5])
+            .expect("a finite square absorbs");
+        assert_eq!(model.absorbed(), 1, "{name}");
+    }
+}
