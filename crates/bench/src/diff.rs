@@ -15,8 +15,8 @@
 //! - **`rmse`**: a correctness metric, gated machine-independently with a
 //!   near-zero relative tolerance — the workspace's determinism contract
 //!   means any drift is a behavior change, not noise.
-//! - Everything else (derived `speedup`/`qps` fields in legacy files,
-//!   byte counts) is informational and not gated.
+//! - Everything else (derived speedups and rates, byte counts) is
+//!   informational and not gated.
 //!
 //! Coverage is part of the contract: a baseline cell or metric missing
 //! from the new run **fails** (a silently dropped experiment looks
@@ -419,24 +419,5 @@ mod tests {
             ..DiffConfig::default()
         };
         assert_eq!(diff(&new, &base, &mean_cfg).verdict(), Verdict::Fail);
-    }
-
-    #[test]
-    fn legacy_baseline_is_diffable() {
-        // A legacy-shaped baseline (single-sample metrics from the
-        // normalizer) gates a new run of the same shape.
-        let legacy = r#"{
-          "workload": "w", "k": 10, "available_cores": 1,
-          "cells": [{"n": 1000, "index": "kdtree", "online_s": 0.002}]
-        }"#;
-        let base = BenchResult::from_json_text(legacy, "serving").unwrap();
-        let mut slow = base.clone();
-        slow.cells[0].metrics[0].1 = crate::result::Metric::new(vec![0.004]);
-        let report = diff(&slow, &base, &DiffConfig::default());
-        assert_eq!(report.verdict(), Verdict::Fail);
-        assert_eq!(
-            diff(&base, &base, &DiffConfig::default()).verdict(),
-            Verdict::Pass
-        );
     }
 }

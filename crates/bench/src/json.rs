@@ -2,9 +2,8 @@
 //!
 //! The workspace is dependency-free by policy (no serde), yet the bench
 //! result pipeline has to *read* result files back — the regression gate
-//! diffs a fresh run against a committed baseline, and the legacy reader
-//! upgrades pre-envelope `BENCH_*.json` files. This module is the small
-//! shared substrate for that: a [`Json`] tree, [`Json::parse`] for the
+//! diffs a fresh run against a committed baseline. This module is the
+//! small shared substrate for that: a [`Json`] tree, [`Json::parse`] for the
 //! files we emit ourselves (strict enough for any well-formed JSON), and
 //! [`Json::render`] producing the stable, diff-friendly two-space-indented
 //! style the committed files use.

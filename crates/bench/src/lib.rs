@@ -12,14 +12,14 @@
 //!   declarative [`spec::Spec`] (methods × datasets × missing-rates ×
 //!   threads × index × repeats) through [`runner`], and emits one
 //!   versioned machine-tagged [`result`] envelope. `iim bench diff`
-//!   ([`diff`]) is the regression gate over any two such files (legacy
-//!   pre-envelope files included). Committed spec presets live under
-//!   `crates/bench/specs/`.
+//!   ([`diff`]) is the regression gate over any two such files.
+//!   Committed spec presets live under `crates/bench/specs/`.
 //!
-//! The bespoke executors that measure what a generic spec cannot (HTTP
-//! daemons, persistence, hot swaps) remain their own binaries —
-//! `serving`, `serve_load`, `learn`, `registry_load`, `parallel` — but
-//! all emit the same envelope. Run everything in release:
+//! Two bespoke executors measure what a generic spec cannot — `serving`
+//! (index-backed vs brute serving over an (n, m) grid) and `parallel`
+//! (1 vs N workers) — and emit the same envelope. The daemon,
+//! persistence and absorb paths are measured by the repository
+//! benchmark in `perfbench/`. Run everything in release:
 //!
 //! ```text
 //! cargo run -p iim-bench --release --bin paper -- table5

@@ -824,73 +824,38 @@ fn get_ifc(r: &mut Reader<'_>) -> Result<FittedIfc, PersistError> {
     })
 }
 
-/// Encodes any lineup fitted imputer into `w` (shape tag first). The
-/// writer's mode decides the layout: inline (v2) or banked (v3 meta
-/// stream) — same codec either way.
-fn encode_fitted_into(w: &mut Writer, f: &dyn FittedImputer) -> Result<(), PersistError> {
-    let any = f
-        .as_any()
-        .ok_or_else(|| PersistError::UnsupportedModel(f.name().to_string()))?;
-    if let Some(pa) = any.downcast_ref::<FittedPerAttribute>() {
-        put_per_attribute(w, pa)?;
-    } else if let Some(x) = any.downcast_ref::<FittedIlls>() {
-        put_ills(w, x);
-    } else if let Some(x) = any.downcast_ref::<FittedEracer>() {
-        put_eracer(w, x);
-    } else if let Some(x) = any.downcast_ref::<FittedSvd>() {
-        put_svd(w, x);
-    } else if let Some(x) = any.downcast_ref::<FittedIfc>() {
-        put_ifc(w, x);
-    } else {
-        return Err(PersistError::UnsupportedModel(f.name().to_string()));
-    }
-    Ok(())
-}
-
-/// Encodes any lineup fitted imputer into an inline (v2) payload.
-pub fn encode_fitted(f: &dyn FittedImputer) -> Result<Vec<u8>, PersistError> {
-    let mut w = Writer::new();
-    encode_fitted_into(&mut w, f)?;
-    Ok(w.into_vec())
-}
-
-/// Encodes any lineup fitted imputer into its v3 parts: the meta stream
-/// plus the two numeric banks the heavy arrays were diverted into.
+/// Encodes any lineup fitted imputer into its payload parts: the meta
+/// stream (shape tag first) plus the two numeric banks the heavy arrays
+/// were diverted into.
 pub fn encode_fitted_parts(
     f: &dyn FittedImputer,
 ) -> Result<(Vec<u8>, Vec<f64>, Vec<u32>), PersistError> {
-    let mut w = Writer::banked();
-    encode_fitted_into(&mut w, f)?;
+    let any = f
+        .as_any()
+        .ok_or_else(|| PersistError::UnsupportedModel(f.name().to_string()))?;
+    let mut w = Writer::new();
+    if let Some(pa) = any.downcast_ref::<FittedPerAttribute>() {
+        put_per_attribute(&mut w, pa)?;
+    } else if let Some(x) = any.downcast_ref::<FittedIlls>() {
+        put_ills(&mut w, x);
+    } else if let Some(x) = any.downcast_ref::<FittedEracer>() {
+        put_eracer(&mut w, x);
+    } else if let Some(x) = any.downcast_ref::<FittedSvd>() {
+        put_svd(&mut w, x);
+    } else if let Some(x) = any.downcast_ref::<FittedIfc>() {
+        put_ifc(&mut w, x);
+    } else {
+        return Err(PersistError::UnsupportedModel(f.name().to_string()));
+    }
     Ok(w.into_banked_parts())
 }
 
-/// Dispatches on the shape tag and consumes every meta byte.
-fn decode_fitted_from(r: &mut Reader<'_>) -> Result<Box<dyn FittedImputer>, PersistError> {
-    let shape = r.u8("shape tag")?;
-    let fitted: Box<dyn FittedImputer> = match shape {
-        SHAPE_PER_ATTRIBUTE => Box::new(get_per_attribute(r)?),
-        SHAPE_ILLS => Box::new(get_ills(r)?),
-        SHAPE_ERACER => Box::new(get_eracer(r)?),
-        SHAPE_SVD => Box::new(get_svd(r)?),
-        SHAPE_IFC => Box::new(get_ifc(r)?),
-        other => return Err(corrupt(format!("unknown shape tag {other}"))),
-    };
-    r.expect_exhausted()?;
-    Ok(fitted)
-}
-
-/// Decodes an inline (v2) payload produced by [`encode_fitted`] back into
-/// a serving model, consuming every byte.
-pub fn decode_fitted(payload: &[u8]) -> Result<Box<dyn FittedImputer>, PersistError> {
-    let mut r = Reader::new(payload);
-    decode_fitted_from(&mut r)
-}
-
-/// Decodes a v3 payload through the **validate-then-view** path: the
+/// Decodes a payload through the **validate-then-view** path: the
 /// payload (already checksum-validated by the container) is copied once
 /// into a shared aligned buffer, the bank extents are bounds-checked, and
 /// the heavy arrays are *borrowed* from the buffer instead of parsed into
 /// fresh `Vec`s — activation cost no longer scales with the bank bytes.
+/// Every meta byte must be consumed.
 pub fn decode_fitted_view(payload: &[u8]) -> Result<Box<dyn FittedImputer>, PersistError> {
     let shared = iim_bytes::shared(payload);
     let bytes = shared.as_slice();
@@ -933,5 +898,14 @@ pub fn decode_fitted_view(payload: &[u8]) -> Result<Box<dyn FittedImputer>, Pers
         u32_len: u32_count,
     };
     let mut r = Reader::with_banks(meta, banks);
-    decode_fitted_from(&mut r)
+    let fitted: Box<dyn FittedImputer> = match r.u8("shape tag")? {
+        SHAPE_PER_ATTRIBUTE => Box::new(get_per_attribute(&mut r)?),
+        SHAPE_ILLS => Box::new(get_ills(&mut r)?),
+        SHAPE_ERACER => Box::new(get_eracer(&mut r)?),
+        SHAPE_SVD => Box::new(get_svd(&mut r)?),
+        SHAPE_IFC => Box::new(get_ifc(&mut r)?),
+        other => return Err(corrupt(format!("unknown shape tag {other}"))),
+    };
+    r.expect_exhausted()?;
+    Ok(fitted)
 }

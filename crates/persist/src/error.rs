@@ -11,11 +11,12 @@ pub enum PersistError {
     Io(io::Error),
     /// The input does not start with the snapshot magic bytes.
     BadMagic,
-    /// The snapshot was written by an unknown (newer) format version.
+    /// The snapshot was written with a format version other than the
+    /// one this build reads (an older or a newer one).
     UnsupportedVersion {
         /// Version found in the container header.
         found: u16,
-        /// Highest version this build reads.
+        /// The one version this build reads.
         supported: u16,
     },
     /// The payload checksum does not match the container trailer: the
@@ -48,7 +49,7 @@ impl std::fmt::Display for PersistError {
             PersistError::BadMagic => write!(f, "not an iim snapshot (bad magic bytes)"),
             PersistError::UnsupportedVersion { found, supported } => write!(
                 f,
-                "snapshot format version {found} is newer than the supported {supported}"
+                "snapshot format version {found} is not supported (this build reads version {supported})"
             ),
             PersistError::ChecksumMismatch { expected, found } => write!(
                 f,

@@ -65,9 +65,9 @@ pub mod wire;
 pub use error::PersistError;
 pub use snapshot::{
     append_delta_path, encode_delta, inspect, load, load_from_slice, load_from_slice_with_info,
-    load_path, rename_durable, save, save_bytes_path, save_path, save_to_vec, save_to_vec_v2,
+    load_path, rename_durable, save, save_bytes_path, save_path, save_to_vec,
     save_to_vec_with_schema, truncate_deltas_path, write_file_durable, SnapshotInfo, DELTA_MAGIC,
-    FORMAT_VERSION, FORMAT_VERSION_V2, MAGIC, MIN_FORMAT_VERSION,
+    FORMAT_VERSION, MAGIC,
 };
 
 #[cfg(test)]
@@ -144,11 +144,12 @@ mod tests {
         bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
         bytes.extend_from_slice(&0u16.to_le_bytes()); // empty method tag
         bytes.extend_from_slice(&0u16.to_le_bytes()); // empty schema
+        bytes.extend_from_slice(&[0u8; 2]); // alignment pad: 14 -> 16 bytes
         bytes.extend_from_slice(&u64::MAX.to_le_bytes());
         bytes.extend_from_slice(&[0u8; 16]);
         assert!(matches!(
             load_from_slice(&bytes),
-            Err(PersistError::Corrupt(_))
+            Err(PersistError::Corrupt(msg)) if msg == "payload length overflows"
         ));
     }
 

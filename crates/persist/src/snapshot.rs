@@ -5,16 +5,16 @@
 //! ```text
 //! offset  size  field
 //! 0       8     magic  b"IIMSNAP\0"
-//! 8       2     format version (u16 LE) — 3 written, 2 still read
+//! 8       2     format version (u16 LE): 3, the only one read
 //! 10      2+n   method tag: u16 LE length + UTF-8 display name
 //! ..      2+..  schema: u16 LE column count, then per column a
 //!               u16 LE length + UTF-8 name (count 0 = schema unknown)
-//! ..      0-7   v3 only: zero padding so the payload starts 8-aligned
+//! ..      0-7   zero padding so the payload starts 8-aligned
 //! ..      8     payload length (u64 LE)
 //! ..      len   payload (see below)
-//! ..      8     payload checksum (u64 LE): FNV-1a 64 byte-wise in v2,
-//!               folded over LE u64 words in v3 (8x fewer multiplies on
-//!               the activation hot path; trailing partial word
+//! ..      8     payload checksum (u64 LE): FNV-1a 64 folded over LE u64
+//!               words (8x fewer multiplies than byte-wise on the
+//!               activation hot path; trailing partial word
 //!               zero-extended)
 //! --- zero or more delta records, each: ---
 //! ..      8     magic  b"IIMDELTA"
@@ -24,14 +24,13 @@
 //! ..      8     FNV-1a 64 checksum of the record payload (u64 LE)
 //! ```
 //!
-//! # Payload layouts: v2 (inline) vs v3 (validate-then-view)
+//! # Payload layout (validate-then-view)
 //!
-//! A **v2** payload is the `codec` meta stream with every numeric array
-//! inline (length-prefixed elements); loading parses each array into a
-//! fresh `Vec`. A **v3** payload splits the heavy arrays out into two
-//! aligned *banks* so loading can borrow them directly from the (already
-//! checksum-validated) snapshot buffer — activation cost stops scaling
-//! with model size:
+//! The payload splits the heavy numeric arrays out of the `codec` meta
+//! stream into two aligned *banks*, so loading borrows them directly from
+//! the (already checksum-validated) snapshot buffer instead of parsing
+//! each into a fresh `Vec` — activation cost stops scaling with model
+//! size:
 //!
 //! ```text
 //! offset  size  field (within the payload, which is 8-aligned in-file)
@@ -47,8 +46,7 @@
 //!
 //! The checksum is verified **before** any section is interpreted, bank
 //! references are bounds-checked against the bank extents, and the views
-//! keep the shared buffer alive (`iim-bytes`); v2 snapshots keep loading
-//! through the owned path bitwise-unchanged.
+//! keep the shared buffer alive (`iim-bytes`).
 //!
 //! The schema block records the training file's column names so serving
 //! layers can reject a query file whose columns are reordered or
@@ -101,20 +99,14 @@
 //! # Versioning policy
 //!
 //! The version is bumped whenever the payload layout changes shape; a
-//! reader refuses anything outside
-//! [`MIN_FORMAT_VERSION`]`..=`[`FORMAT_VERSION`]
-//! ([`PersistError::UnsupportedVersion`]) rather than guessing — version
-//! 2 changed the Mean/GLR/IIM payloads to carry incremental-learning
-//! state (so version-1 bytes no longer decode), and version 3 moved the
-//! heavy numeric arrays into aligned banks for validate-then-view
-//! loading. v2 snapshots keep loading through the owned path, and a
-//! v2-loaded and v3-loaded copy of the same model serve **bitwise
-//! identical** fills. Within one version the format is
-//! **deterministic**: encoding the same fitted model twice yields
-//! identical bytes (hash-map iteration is sorted before serialization),
-//! so snapshots are diffable, cacheable artifacts.
+//! reader accepts exactly [`FORMAT_VERSION`] and refuses any other
+//! version, newer or older (the retired 1 and 2 included), with
+//! [`PersistError::UnsupportedVersion`] rather than guessing. Within one
+//! version the format is **deterministic**: encoding the same fitted
+//! model twice yields identical bytes (hash-map iteration is sorted
+//! before serialization), so snapshots are diffable, cacheable artifacts.
 
-use crate::codec::{decode_fitted, encode_fitted};
+use crate::codec::{decode_fitted_view, encode_fitted_parts};
 use crate::error::PersistError;
 use crate::wire::{fnv1a64, fnv1a64_words, Reader, Writer};
 use iim_data::FittedImputer;
@@ -127,18 +119,9 @@ pub const MAGIC: [u8; 8] = *b"IIMSNAP\0";
 /// The 8 magic bytes opening every delta record.
 pub const DELTA_MAGIC: [u8; 8] = *b"IIMDELTA";
 
-/// The snapshot format version new saves are written with
+/// The snapshot format version: the one saves write and loads accept
 /// (validate-then-view banks; see the module docs).
 pub const FORMAT_VERSION: u16 = 3;
-
-/// The oldest format version `load` still reads (the fully-inline owned
-/// layout). Versions below it predate the incremental-learning state and
-/// are refused.
-pub const MIN_FORMAT_VERSION: u16 = 2;
-
-/// The inline (owned-load) format version, writable via
-/// [`save_to_vec_v2`] for version-skew testing and downgrades.
-pub const FORMAT_VERSION_V2: u16 = 2;
 
 /// Container metadata, readable without decoding the model payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -176,13 +159,6 @@ pub fn save_to_vec(fitted: &dyn FittedImputer) -> Result<Vec<u8>, PersistError> 
     save_to_vec_with_schema(fitted, &[])
 }
 
-/// Serializes a fitted model in the **v2** inline layout (owned load
-/// path). New saves default to v3; this exists for version-skew tests
-/// and for shipping snapshots to older readers.
-pub fn save_to_vec_v2(fitted: &dyn FittedImputer) -> Result<Vec<u8>, PersistError> {
-    save_to_vec_versioned(fitted, &[], FORMAT_VERSION_V2)
-}
-
 /// Serializes a fitted model, recording the training relation's column
 /// names so serving layers can validate query headers (reordered columns
 /// would otherwise silently impute from transposed features).
@@ -190,7 +166,32 @@ pub fn save_to_vec_with_schema(
     fitted: &dyn FittedImputer,
     schema: &[String],
 ) -> Result<Vec<u8>, PersistError> {
-    save_to_vec_versioned(fitted, schema, FORMAT_VERSION)
+    if !schema.is_empty() && schema.len() != fitted.arity() {
+        return Err(PersistError::UnsupportedModel(format!(
+            "schema has {} columns but the model serves {}",
+            schema.len(),
+            fitted.arity()
+        )));
+    }
+    let payload = encode_payload(fitted)?;
+    let name = fitted.name();
+    let n_cols = u16::try_from(schema.len())
+        .map_err(|_| PersistError::UnsupportedModel("schema has too many columns".into()))?;
+    let mut out = Vec::with_capacity(8 + 2 + 2 + name.len() + 2 + 8 + 8 + payload.len() + 8);
+    out.extend_from_slice(&MAGIC);
+    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+    push_tag(&mut out, name, "method name")?;
+    out.extend_from_slice(&n_cols.to_le_bytes());
+    for col in schema {
+        push_tag(&mut out, col, "column name")?;
+    }
+    // Align the payload so bank views inherit 8-byte alignment from an
+    // aligned buffer holding the whole file or payload.
+    out.resize(out.len() + header_pad(out.len()), 0);
+    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    out.extend_from_slice(&payload);
+    out.extend_from_slice(&fnv1a64_words(&payload).to_le_bytes());
+    Ok(out)
 }
 
 /// How many zero bytes to insert after `prefix_len` header bytes so the
@@ -201,61 +202,10 @@ fn header_pad(prefix_len: usize) -> usize {
     (8 - (prefix_len & 7)) & 7
 }
 
-fn save_to_vec_versioned(
-    fitted: &dyn FittedImputer,
-    schema: &[String],
-    version: u16,
-) -> Result<Vec<u8>, PersistError> {
-    if !schema.is_empty() && schema.len() != fitted.arity() {
-        return Err(PersistError::UnsupportedModel(format!(
-            "schema has {} columns but the model serves {}",
-            schema.len(),
-            fitted.arity()
-        )));
-    }
-    let payload = match version {
-        FORMAT_VERSION_V2 => encode_fitted(fitted)?,
-        FORMAT_VERSION => encode_fitted_banked(fitted)?,
-        _ => unreachable!("save only writes supported versions"),
-    };
-    let name = fitted.name();
-    let n_cols = u16::try_from(schema.len())
-        .map_err(|_| PersistError::UnsupportedModel("schema has too many columns".into()))?;
-    let mut out = Vec::with_capacity(8 + 2 + 2 + name.len() + 2 + 8 + 8 + payload.len() + 8);
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&version.to_le_bytes());
-    push_tag(&mut out, name, "method name")?;
-    out.extend_from_slice(&n_cols.to_le_bytes());
-    for col in schema {
-        push_tag(&mut out, col, "column name")?;
-    }
-    if version >= 3 {
-        // Align the payload so bank views inherit 8-byte alignment from
-        // an aligned buffer holding the whole file or payload.
-        out.resize(out.len() + header_pad(out.len()), 0);
-    }
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&payload);
-    out.extend_from_slice(&payload_checksum(version, &payload).to_le_bytes());
-    Ok(out)
-}
-
-/// The container checksum for `version`: byte-wise FNV-1a for the legacy
-/// v2 layout (fixed on the wire), word-folded FNV-1a for v3+ — activation
-/// validates the whole payload before viewing it, so the checksum walk is
-/// on the hot path.
-fn payload_checksum(version: u16, payload: &[u8]) -> u64 {
-    if version >= 3 {
-        fnv1a64_words(payload)
-    } else {
-        fnv1a64(payload)
-    }
-}
-
-/// Assembles the v3 payload: bank header, meta stream, pad, f64 bank,
-/// u32 bank (see the module docs for the layout).
-fn encode_fitted_banked(fitted: &dyn FittedImputer) -> Result<Vec<u8>, PersistError> {
-    let (meta, f64_bank, u32_bank) = crate::codec::encode_fitted_parts(fitted)?;
+/// Assembles the payload: bank header, meta stream, pad, f64 bank, u32
+/// bank (see the module docs for the layout).
+fn encode_payload(fitted: &dyn FittedImputer) -> Result<Vec<u8>, PersistError> {
+    let (meta, f64_bank, u32_bank) = encode_fitted_parts(fitted)?;
     let meta_pad = header_pad(meta.len());
     let mut payload =
         Vec::with_capacity(24 + meta.len() + meta_pad + f64_bank.len() * 8 + u32_bank.len() * 4);
@@ -434,7 +384,7 @@ fn parse_header(bytes: &[u8]) -> Result<Header, PersistError> {
         return Err(PersistError::BadMagic);
     }
     let version = r.u16("format version")?;
-    if !(MIN_FORMAT_VERSION..=FORMAT_VERSION).contains(&version) {
+    if version != FORMAT_VERSION {
         return Err(PersistError::UnsupportedVersion {
             found: version,
             supported: FORMAT_VERSION,
@@ -446,13 +396,11 @@ fn parse_header(bytes: &[u8]) -> Result<Header, PersistError> {
     for _ in 0..n_cols {
         schema.push(r.tag("schema name")?);
     }
-    if version >= 3 {
-        // v3 pads the header so the payload is 8-aligned in-file; the pad
-        // width is derived (never stored) and must be zero bytes.
-        let pad = header_pad(bytes.len() - r.remaining());
-        if r.bytes(pad, "alignment padding")?.iter().any(|&b| b != 0) {
-            return Err(PersistError::Corrupt("non-zero alignment padding".into()));
-        }
+    // The header is padded so the payload is 8-aligned in-file; the pad
+    // width is derived (never stored) and must be zero bytes.
+    let pad = header_pad(bytes.len() - r.remaining());
+    if r.bytes(pad, "alignment padding")?.iter().any(|&b| b != 0) {
+        return Err(PersistError::Corrupt("non-zero alignment padding".into()));
     }
     let payload_len = r.u64("payload length")?;
     Ok(Header {
@@ -509,7 +457,7 @@ fn checked_payload<'a>(
             // bytes by construction.
             .expect("checksum slice is 8 bytes"),
     );
-    let found = payload_checksum(header.info.version, payload);
+    let found = fnv1a64_words(payload);
     if expected != found {
         return Err(PersistError::ChecksumMismatch { expected, found });
     }
@@ -659,11 +607,7 @@ pub fn load_from_slice_with_info(
     let (payload, base_end) = checked_payload(bytes, &header)?;
     let region = parse_delta_rows(&bytes[base_end..])?;
     let delta_rows = region.rows;
-    let mut fitted = if header.info.version >= 3 {
-        crate::codec::decode_fitted_view(payload)?
-    } else {
-        decode_fitted(payload)?
-    };
+    let mut fitted = decode_fitted_view(payload)?;
     if fitted.name() != header.info.method {
         return Err(PersistError::Corrupt(format!(
             "method tag {:?} does not match the decoded model {:?}",

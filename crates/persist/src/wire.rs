@@ -11,9 +11,9 @@
 use crate::error::PersistError;
 use iim_bytes::{FloatSlice, SharedBytes, U32Slice};
 
-/// The numeric banks a [`Writer`] in banked mode accumulates: heavy
-/// arrays land here (contiguous, alignable) while the meta stream only
-/// records `(count, start)` references to them.
+/// The numeric banks a [`Writer`] accumulates: heavy arrays land here
+/// (contiguous, alignable) while the meta stream only records
+/// `(count, start)` references to them.
 #[derive(Debug, Default)]
 struct Banks {
     f64s: Vec<f64>,
@@ -39,15 +39,14 @@ pub struct BankSource {
 
 /// Append-only encoder over a byte buffer.
 ///
-/// In **banked** mode ([`Writer::banked`]) the `*_banked` slice methods
-/// divert their elements into side banks and write only `(count, start)`
-/// references inline, producing the format-v3 validate-then-view layout.
-/// In the default inline mode those same methods are byte-identical to
-/// their plain counterparts, so one codec serves both container versions.
+/// The `*_banked` slice methods divert their elements into side banks
+/// and write only `(count, start)` references inline: the snapshot
+/// payload's validate-then-view layout. Every other method writes
+/// inline (delta records use only those).
 #[derive(Debug, Default)]
 pub struct Writer {
     buf: Vec<u8>,
-    banks: Option<Banks>,
+    banks: Banks,
 }
 
 impl Writer {
@@ -56,29 +55,14 @@ impl Writer {
         Self::default()
     }
 
-    /// An empty writer in banked mode.
-    pub fn banked() -> Self {
-        Self {
-            buf: Vec::new(),
-            banks: Some(Banks::default()),
-        }
-    }
-
-    /// True when `*_banked` methods divert to side banks.
-    pub fn is_banked(&self) -> bool {
-        self.banks.is_some()
-    }
-
-    /// The encoded bytes.
+    /// The encoded bytes (the banks are dropped).
     pub fn into_vec(self) -> Vec<u8> {
         self.buf
     }
 
-    /// The meta stream and the two banks of a banked writer (empty banks
-    /// for an inline writer).
+    /// The meta stream and the two banks.
     pub fn into_banked_parts(self) -> (Vec<u8>, Vec<f64>, Vec<u32>) {
-        let banks = self.banks.unwrap_or_default();
-        (self.buf, banks.f64s, banks.u32s)
+        (self.buf, self.banks.f64s, self.banks.u32s)
     }
 
     /// Appends one byte.
@@ -155,30 +139,21 @@ impl Writer {
         }
     }
 
-    /// Appends an `f64` slice through the bank: inline mode is
-    /// byte-identical to [`Writer::f64s`]; banked mode pushes the values
-    /// into the `f64` bank and writes `(count, start)` inline.
+    /// Appends an `f64` slice through the bank: the values go to the
+    /// `f64` bank and `(count, start)` is written inline.
     pub fn f64s_banked(&mut self, vs: &[f64]) {
-        if let Some(b) = &mut self.banks {
-            let start = b.f64s.len();
-            b.f64s.extend_from_slice(vs);
-            self.len(vs.len());
-            self.len(start);
-        } else {
-            self.f64s(vs);
-        }
+        let start = self.banks.f64s.len();
+        self.banks.f64s.extend_from_slice(vs);
+        self.len(vs.len());
+        self.len(start);
     }
 
     /// Appends a `u32` slice through the bank (see [`Writer::f64s_banked`]).
     pub fn u32s_banked(&mut self, vs: &[u32]) {
-        if let Some(b) = &mut self.banks {
-            let start = b.u32s.len();
-            b.u32s.extend_from_slice(vs);
-            self.len(vs.len());
-            self.len(start);
-        } else {
-            self.u32s(vs);
-        }
+        let start = self.banks.u32s.len();
+        self.banks.u32s.extend_from_slice(vs);
+        self.len(vs.len());
+        self.len(start);
     }
 }
 
@@ -186,9 +161,8 @@ impl Writer {
 ///
 /// With a [`BankSource`] attached ([`Reader::with_banks`]) the `*_banked`
 /// slice methods resolve `(count, start)` references into views of the
-/// shared buffer instead of parsing inline elements — the format-v3
-/// validate-then-view read path. Without one, they read the inline v2
-/// layout into owned values.
+/// shared buffer: the validate-then-view read path. Without one they
+/// fail with a typed error.
 #[derive(Debug)]
 pub struct Reader<'a> {
     data: &'a [u8],
@@ -360,49 +334,44 @@ impl<'a> Reader<'a> {
         Ok(out)
     }
 
-    /// Reads an `f64` slice written by [`Writer::f64s_banked`]: inline
-    /// elements into an owned slice without banks, a bounds-checked view
-    /// of the shared buffer with them. A per-attribute model stores tens
-    /// of thousands of tiny banked slices, so this path stays
+    /// Reads an `f64` slice written by [`Writer::f64s_banked`] as a
+    /// bounds-checked view of the shared buffer. A per-attribute model
+    /// stores tens of thousands of tiny banked slices, so this path stays
     /// allocation-free: one `Arc` bump per view, no `BankSource` clone.
     pub fn f64s_banked(&mut self, context: &'static str) -> Result<FloatSlice, PersistError> {
-        let Some(bank_len) = self.banks.as_ref().map(|b| b.f64_len) else {
-            return Ok(self.f64s(context)?.into());
-        };
-        let (n, start) = self.bank_ref(bank_len, context)?;
-        let b = self.banks.as_ref().expect("banks checked above");
+        let (b, n, start) = self.bank_ref(context, |b| b.f64_len)?;
         Ok(FloatSlice::view(&b.buf, b.f64_off + start * 8, n))
     }
 
     /// Reads a `u32` slice written by [`Writer::u32s_banked`] (see
     /// [`Reader::f64s_banked`]).
     pub fn u32s_banked(&mut self, context: &'static str) -> Result<U32Slice, PersistError> {
-        let Some(bank_len) = self.banks.as_ref().map(|b| b.u32_len) else {
-            return Ok(self.u32s(context)?.into());
-        };
-        let (n, start) = self.bank_ref(bank_len, context)?;
-        let b = self.banks.as_ref().expect("banks checked above");
+        let (b, n, start) = self.bank_ref(context, |b| b.u32_len)?;
         Ok(U32Slice::view(&b.buf, b.u32_off + start * 4, n))
     }
 
     /// Reads one `(count, start)` bank reference and bounds-checks it
-    /// against a bank of `bank_len` elements.
+    /// against the bank whose element count `bank_len` picks.
     fn bank_ref(
         &mut self,
-        bank_len: usize,
         context: &'static str,
-    ) -> Result<(usize, usize), PersistError> {
+        bank_len: fn(&BankSource) -> usize,
+    ) -> Result<(&BankSource, usize, usize), PersistError> {
         let n = self.scalar(context)?;
         let start = self.scalar(context)?;
+        let b = self.banks.as_ref().ok_or_else(|| {
+            PersistError::Corrupt(format!("{context}: bank reference without banks"))
+        })?;
         let end = start
             .checked_add(n)
             .ok_or_else(|| PersistError::Corrupt(format!("{context}: bank reference overflows")))?;
-        if end > bank_len {
+        if end > bank_len(b) {
             return Err(PersistError::Corrupt(format!(
-                "{context}: bank reference {start}+{n} exceeds the bank of {bank_len} elements"
+                "{context}: bank reference {start}+{n} exceeds the bank of {} elements",
+                bank_len(b)
             )));
         }
-        Ok((n, start))
+        Ok((b, n, start))
     }
 
     /// Reads a length-prefixed `usize` slice (stored as `u64`s).
@@ -419,9 +388,8 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// FNV-1a 64-bit hash — the payload checksum for v2 containers and delta
-/// records. Not cryptographic: it detects storage/transit corruption, not
-/// tampering.
+/// FNV-1a 64-bit hash — the delta-record checksum. Not cryptographic: it
+/// detects storage/transit corruption, not tampering.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
@@ -431,7 +399,7 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// FNV-1a folded over little-endian `u64` words — the v3 payload
+/// FNV-1a folded over little-endian `u64` words — the snapshot payload
 /// checksum. One multiply per 8 bytes instead of per byte, so validating
 /// a snapshot before viewing it costs an eighth of the byte-wise walk; a
 /// trailing partial word is zero-extended (unambiguous because the

@@ -156,8 +156,9 @@ pub struct ModelInfo {
     pub name: String,
     /// Fitted method (e.g. `"IIM"`).
     pub method: String,
-    /// Snapshot container format version on disk (2 = owned parse,
-    /// 3 = validate-then-view).
+    /// Snapshot container format version on disk (always
+    /// `iim_persist::FORMAT_VERSION`: a file with any other version fails
+    /// to load).
     pub snapshot_version: u16,
     /// Whether this model is loaded and serving right now.
     pub resident: bool,

@@ -10,16 +10,21 @@
 //! * **Canonical bytes**: re-saving a loaded model reproduces the exact
 //!   snapshot bytes (encode ∘ decode is the identity on the wire).
 //! * **Total loading**: truncating the snapshot at *every* byte offset,
-//!   flipping *any* single byte, or bumping the format version yields a
-//!   typed [`iim_persist::PersistError`] — never a panic, never a bogus
-//!   model.
+//!   flipping *any* single byte, or setting the format version to anything
+//!   but the current one (the retired v1 and v2 included) yields a typed
+//!   [`iim_persist::PersistError`] — never a panic, never a bogus model.
+//! * **Served over HTTP**: a loaded snapshot behind the `iim-serve`
+//!   daemon answers a request large enough to fan out on the pool, and
+//!   single-row keep-alive requests, byte for byte as the fitted model.
 
 use iim::prelude::*;
 use iim_data::inject::inject_random;
 use iim_exec::Pool;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
+use std::io::{Read, Write};
+use std::net::TcpStream;
 
 /// IIM + all thirteen baselines, through the same single source of truth
 /// the CLI uses.
@@ -120,50 +125,6 @@ proptest! {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    /// Version skew: the same fitted model written as format v2 (inline
-    /// numeric streams, owned parse) and v3 (banked payload,
-    /// validate-then-view) must load to models that serve **bitwise
-    /// identical** fills — a rolling upgrade can mix snapshot versions
-    /// freely without changing a single answer.
-    #[test]
-    fn v2_and_v3_snapshots_serve_identical_bits(rel in arb_workload()) {
-        let serial = Pool::serial();
-        for method in all_fourteen(4, 9) {
-            let fitted = match method.fit(&rel) {
-                Ok(f) => f,
-                Err(ImputeError::Unsupported(_)) => continue,
-                Err(e) => panic!("{} failed to fit: {e}", method.name()),
-            };
-            let v2 = iim_persist::save_to_vec_v2(fitted.as_ref()).unwrap();
-            let v3 = iim_persist::save_to_vec(fitted.as_ref()).unwrap();
-            prop_assert_eq!(iim_persist::inspect(&v2).unwrap().version, 2);
-            prop_assert_eq!(
-                iim_persist::inspect(&v3).unwrap().version,
-                iim_persist::FORMAT_VERSION
-            );
-
-            let from_v2 = iim_persist::load_from_slice(&v2)
-                .unwrap_or_else(|e| panic!("{} failed to load v2: {e}", method.name()));
-            let from_v3 = iim_persist::load_from_slice(&v3)
-                .unwrap_or_else(|e| panic!("{} failed to load v3: {e}", method.name()));
-            let a = from_v2.impute_all_on(&serial, &rel).unwrap();
-            let b = from_v3.impute_all_on(&serial, &rel).unwrap();
-            assert_bitwise_equal(&a, &b, method.name());
-
-            // And a v2-loaded model re-saves to canonical v3 bytes: the
-            // upgrade path is save(load(old)) with no special casing.
-            prop_assert_eq!(
-                &iim_persist::save_to_vec(from_v2.as_ref()).unwrap(),
-                &v3,
-                "{}: v2-loaded model did not re-save to the v3 bytes", method.name()
-            );
-        }
-    }
-}
-
 /// A tiny fitted model per shape family, for exhaustive corruption sweeps.
 fn small_snapshots() -> Vec<(String, Vec<u8>)> {
     let mut rel = Relation::with_capacity(Schema::anonymous(3), 0);
@@ -172,7 +133,7 @@ fn small_snapshots() -> Vec<(String, Vec<u8>)> {
         rel.push_row(&[x, 2.0 * x + 1.0, 10.0 - 0.5 * x]);
     }
     rel.push_row_opt(&[Some(3.5), None, Some(8.0)]);
-    let mut out: Vec<(String, Vec<u8>)> = ["Mean", "IIM", "SVD", "ILLS", "ERACER", "IFC"]
+    ["Mean", "IIM", "SVD", "ILLS", "ERACER", "IFC"]
         .iter()
         .map(|name| {
             let method = iim::methods::by_name(name, 3, 7).expect("lineup method");
@@ -180,14 +141,7 @@ fn small_snapshots() -> Vec<(String, Vec<u8>)> {
             let bytes = iim_persist::save_to_vec(fitted.as_ref()).expect("save");
             (name.to_string(), bytes)
         })
-        .collect();
-    // One legacy v2 container too: the owned-parse fallback path must be
-    // exactly as total under corruption as the v3 view path.
-    let method = iim::methods::by_name("IIM", 3, 7).expect("lineup method");
-    let fitted = method.fit(&rel).expect("fit");
-    let v2 = iim_persist::save_to_vec_v2(fitted.as_ref()).expect("save v2");
-    out.push(("IIM-v2".to_string(), v2));
-    out
+        .collect()
 }
 
 #[test]
@@ -237,6 +191,30 @@ fn wrong_version_is_refused_with_the_version_error() {
 }
 
 #[test]
+fn v2_and_v1_snapshots_are_refused_with_the_version_error() {
+    // Only format v3 is read: an older version field is refused as such,
+    // by the full load and by the header-only inspect alike.
+    for (name, bytes) in small_snapshots() {
+        for old in [2u16, 1] {
+            let mut evil = bytes.clone();
+            evil[8..10].copy_from_slice(&old.to_le_bytes());
+            let load = iim_persist::load_from_slice(&evil).err();
+            let inspect = iim_persist::inspect(&evil).err();
+            for err in [load, inspect] {
+                assert!(
+                    matches!(
+                        err,
+                        Some(iim_persist::PersistError::UnsupportedVersion { found, supported: 3 })
+                            if found == old
+                    ),
+                    "{name} as v{old}: {err:?}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
 fn snapshot_info_matches_the_model() {
     let (rel, _) = iim::data::paper_fig1();
     for method in all_fourteen(3, 5) {
@@ -254,5 +232,114 @@ fn snapshot_info_matches_the_model() {
         let prefix = 8 + 2 + 2 + info.method.len() + 2;
         let pad = (8 - (prefix & 7)) & 7;
         assert_eq!(info.payload_len as usize + prefix + pad + 16, bytes.len());
+    }
+}
+
+/// Writes one `POST /impute` on a keep-alive connection and reads its
+/// one Content-Length-framed response: (head, body).
+fn post_impute(stream: &mut TcpStream, body: &str) -> (String, String) {
+    write!(
+        stream,
+        "POST /impute HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    )
+    .unwrap();
+    // Byte-wise up to the blank line, so nothing of the body is over-read.
+    let mut head = Vec::new();
+    let mut byte = [0u8; 1];
+    while !head.ends_with(b"\r\n\r\n") {
+        assert_eq!(stream.read(&mut byte).unwrap(), 1, "daemon closed mid-head");
+        head.push(byte[0]);
+    }
+    let head = String::from_utf8(head).unwrap();
+    let len: usize = head
+        .lines()
+        .find_map(|l| {
+            let (k, v) = l.split_once(':')?;
+            k.eq_ignore_ascii_case("content-length")
+                .then(|| v.trim().parse().unwrap())
+        })
+        .expect("response has a Content-Length");
+    let mut reply = vec![0u8; len];
+    stream.read_exact(&mut reply).unwrap();
+    (head, String::from_utf8(reply).unwrap())
+}
+
+#[test]
+fn the_daemon_serves_a_loaded_snapshot_byte_for_byte() {
+    // A 4-column linear-plus-noise relation and 120 queries with one hole
+    // each: 120 rows reach the daemon's pool fan-out (the serial cutoff
+    // is 64), one row per request takes the inline path.
+    let mut rng = StdRng::seed_from_u64(42);
+    let rows: Vec<Vec<f64>> = (0..300)
+        .map(|i| {
+            let x = i as f64 * 0.1;
+            (0..4)
+                .map(|j| x * (j + 1) as f64 * 0.3 + rng.gen_range(-0.5..0.5))
+                .collect()
+        })
+        .collect();
+    let rel = Relation::from_rows(Schema::anonymous(4), &rows);
+    let queries: Vec<Vec<f64>> = (0..120)
+        .map(|i| {
+            let mut row: Vec<f64> = (0..4).map(|_| rng.gen_range(0.0..30.0)).collect();
+            row[i % 4] = f64::NAN;
+            row
+        })
+        .collect();
+    assert!(queries.len() >= iim_exec::DEFAULT_SERIAL_CUTOFF);
+    let header = "A1,A2,A3,A4";
+    let request = |rows: &[Vec<f64>]| {
+        let mut body = format!("{header}\n");
+        for row in rows {
+            body.push_str(&iim_data::csv::format_row(row));
+            body.push('\n');
+        }
+        body
+    };
+    for name in ["IIM", "kNN", "SVD"] {
+        let fitted = iim::methods::by_name(name, 10, 7)
+            .expect("lineup method")
+            .fit(&rel)
+            .expect("fit");
+        let bytes = iim_persist::save_to_vec(fitted.as_ref()).expect("save");
+        let loaded = iim_persist::load_from_slice(&bytes).expect("load");
+        // What the daemon must answer: the fitted model's own fills.
+        let expected = |rows: &[Vec<f64>]| {
+            let mut body = format!("{header}\n");
+            for row in rows {
+                let query: Vec<Option<f64>> =
+                    row.iter().map(|v| v.is_finite().then_some(*v)).collect();
+                let fills = fitted.impute_one(&query).expect("impute");
+                body.push_str(&iim_data::csv::format_row(&fills));
+                body.push('\n');
+            }
+            body
+        };
+        let server = iim_serve::Server::bind(
+            loaded,
+            &iim_serve::ServeConfig {
+                addr: "127.0.0.1:0".into(),
+                threads: 2,
+                ..Default::default()
+            },
+        )
+        .expect("bind");
+        let handle = server.spawn().expect("spawn");
+        let mut stream = TcpStream::connect(handle.addr()).unwrap();
+        stream
+            .set_read_timeout(Some(std::time::Duration::from_secs(30)))
+            .unwrap();
+
+        let (head, body) = post_impute(&mut stream, &request(&queries));
+        assert!(head.starts_with("HTTP/1.1 200"), "{name}: {head}");
+        assert_eq!(body, expected(&queries), "{name}: 120-row request");
+        for row in queries.chunks(1).take(10) {
+            let (head, body) = post_impute(&mut stream, &request(row));
+            assert!(head.starts_with("HTTP/1.1 200"), "{name}: {head}");
+            assert_eq!(body, expected(row), "{name}: single-row request");
+        }
+        drop(stream);
+        handle.shutdown();
     }
 }
