@@ -8,7 +8,11 @@
 //!
 //! * [`AlignedBuf`] / [`SharedBytes`] — an immutable byte buffer whose
 //!   backing storage is 8-byte aligned (it is a `Vec<u64>` underneath),
-//!   shared via `Arc` so any number of views keep it alive.
+//!   shared via `Arc` so any number of views keep it alive. Two
+//!   constructors fill one: [`AlignedBuf::from_bytes`] copies a slice,
+//!   and [`AlignedBuf::read_from`] reads any `std::io::Read` (a snapshot
+//!   file) to EOF straight into the aligned words, so a load from disk
+//!   holds one buffer rather than a file `Vec` plus an aligned copy.
 //! * [`FloatSlice`] / [`U32Slice`] — either an owned `Vec<T>` or a view
 //!   `(buf, byte_off, len)` into a [`SharedBytes`]. Both deref to `[T]`,
 //!   so downstream numeric code is oblivious; mutation goes through a
@@ -96,6 +100,43 @@ impl AlignedBuf {
             words,
             len: bytes.len(),
         }
+    }
+
+    /// Reads `r` to EOF straight into freshly allocated aligned storage —
+    /// the snapshot loaders' one buffer per load, with no intermediate
+    /// `Vec<u8>` to copy from.
+    ///
+    /// `size_hint` is the expected byte count (a file's length). The
+    /// buffer is sized for it plus one spare word, so a read that ends
+    /// where the hint said it would sees EOF without reallocating; the
+    /// storage grows (doubling, from 8 KiB) only if the input turns out
+    /// longer, and is then trimmed back to the bytes read. Bytes past the
+    /// end read stay zero, as with [`AlignedBuf::from_bytes`].
+    pub fn read_from<R: std::io::Read + ?Sized>(
+        r: &mut R,
+        size_hint: usize,
+    ) -> std::io::Result<Self> {
+        let mut words = vec![0u64; size_hint.div_ceil(8) + 1];
+        let mut len = 0;
+        loop {
+            if len == words.len() * 8 {
+                words.resize((words.len() * 2).max(1024), 0);
+            }
+            match r.read(&mut cast::bytes_of_mut(&mut words)[len..]) {
+                Ok(0) => break,
+                Ok(n) => len += n,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        // `read` may scribble past what it reports; restore the zero tail,
+        // and hand back what growing over-allocated.
+        cast::bytes_of_mut(&mut words)[len..].fill(0);
+        if words.len() > len.div_ceil(8) + 1 {
+            words.truncate(len.div_ceil(8));
+            words.shrink_to_fit();
+        }
+        Ok(Self { words, len })
     }
 
     pub fn len(&self) -> usize {
@@ -301,6 +342,55 @@ mod tests {
             assert_eq!(buf.len(), len);
             assert_eq!(buf.as_slice().as_ptr() as usize % 8, 0);
         }
+    }
+
+    /// A reader that hands out at most `chunk` bytes per call and, like a
+    /// `Read` is allowed to, scribbles on the rest of the buffer.
+    struct Dribble<'a> {
+        src: &'a [u8],
+        chunk: usize,
+    }
+
+    impl std::io::Read for Dribble<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = self.chunk.min(buf.len()).min(self.src.len());
+            buf[..n].copy_from_slice(&self.src[..n]);
+            buf[n..].fill(0xEE);
+            self.src = &self.src[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn read_from_matches_from_bytes_whatever_the_hint() {
+        for len in [0usize, 1, 5, 7, 8, 9, 16, 63, 64, 65, 1000] {
+            let bytes: Vec<u8> = (0..len).map(|i| (i * 31 + 7) as u8).collect();
+            for hint in [0, len.saturating_sub(3), len, len + 8, 4 * len + 1] {
+                for chunk in [1, 3, 8, 4096] {
+                    let mut r = Dribble { src: &bytes, chunk };
+                    let buf = AlignedBuf::read_from(&mut r, hint).unwrap();
+                    assert_eq!(buf.as_slice(), &bytes[..], "len {len} hint {hint}");
+                    assert_eq!(buf.as_slice().as_ptr() as usize % 8, 0);
+                    // The zero tail survives the reader's scribbling, and
+                    // growth never keeps more than the spare word.
+                    assert!(buf.words.len() <= len.div_ceil(8) + 1);
+                    let tail = &cast::bytes_of(&buf.words)[len..];
+                    assert!(tail.iter().all(|&b| b == 0), "len {len} hint {hint}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn read_from_surfaces_io_errors() {
+        struct Broken;
+        impl std::io::Read for Broken {
+            fn read(&mut self, _: &mut [u8]) -> std::io::Result<usize> {
+                Err(std::io::Error::other("disk on fire"))
+            }
+        }
+        let err = AlignedBuf::read_from(&mut Broken, 16).unwrap_err();
+        assert_eq!(err.to_string(), "disk on fire");
     }
 
     #[test]

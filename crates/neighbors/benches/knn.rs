@@ -1,7 +1,8 @@
 //! Criterion micro-benchmarks for the neighbor-search substrate: the
 //! brute scan vs the owned KD-tree and VP-tree behind [`NeighborIndex`],
 //! the blocked distance kernels, the deep-prefix kernel's scan-versus-tree
-//! cutover, and the flat-buffer neighbor-orders build.
+//! cutover, the flat-buffer neighbor-orders build, and the tree builds a
+//! snapshot load pays once per attribute.
 //!
 //! Every search benchmark first asserts the paths agree bitwise on the
 //! benched workload — the determinism contract is checked where the
@@ -13,10 +14,11 @@
 //! CI smoke-runs this whole file with `cargo bench -- --quick`.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use iim_bytes::FloatSlice;
 use iim_neighbors::brute::FeatureMatrix;
 use iim_neighbors::{
-    sq_dist_f, sq_dist_many, IndexChoice, KnnScratch, NeighborIndex, NeighborOrders, PrefixScratch,
-    Prefixes,
+    sq_dist_f, sq_dist_many, IndexChoice, KdTree, KnnScratch, NeighborIndex, NeighborOrders,
+    PrefixScratch, Prefixes, VpTree,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -205,9 +207,50 @@ fn bench_orders_build(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_index_build(c: &mut Criterion) {
+    // One tree build per attribute is what activating a snapshot costs
+    // beyond the checksum. A loaded matrix is view-backed (it borrows the
+    // snapshot buffer), a freshly fitted one is owned; both must answer
+    // alike (asserted here; the unit tests pin the structure itself) and
+    // build at the same speed. Each iteration clones the
+    // matrix into the owning tree: a copy when owned, an `Arc` bump when
+    // view-backed.
+    let mut group = c.benchmark_group("index_build_n10000");
+    for m in [3usize, 4] {
+        let owned = random_matrix(10_000, m, 17);
+        let bytes: Vec<u8> = owned.data().iter().flat_map(|v| v.to_le_bytes()).collect();
+        let buf = iim_bytes::shared(&bytes);
+        let view = FeatureMatrix::from_dense(
+            m,
+            owned.row_ids().to_vec(),
+            FloatSlice::view(&buf, 0, owned.data().len()),
+        );
+        let q = vec![50.0; m];
+        assert_eq!(
+            KdTree::build(owned.clone()).knn(&q, 10),
+            KdTree::build(view.clone()).knn(&q, 10)
+        );
+        assert_eq!(
+            VpTree::build(owned.clone()).knn(&q, 10),
+            VpTree::build(view.clone()).knn(&q, 10)
+        );
+        for (backing, fm) in [("owned", &owned), ("view", &view)] {
+            let cell = format!("m{m}_{backing}");
+            group.bench_function(BenchmarkId::new("kdtree", &cell), |b| {
+                b.iter(|| black_box(KdTree::build(fm.clone())));
+            });
+            group.bench_function(BenchmarkId::new("vptree", &cell), |b| {
+                b.iter(|| black_box(VpTree::build(fm.clone())));
+            });
+        }
+    }
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_index_knn, bench_dist_kernels, bench_orders_prefix, bench_orders_build
+    targets = bench_index_knn, bench_dist_kernels, bench_orders_prefix, bench_orders_build,
+        bench_index_build
 }
 criterion_main!(benches);

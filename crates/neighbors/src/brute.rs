@@ -102,6 +102,19 @@ impl FeatureMatrix {
         &self.row_ids
     }
 
+    /// The points at `positions`, copied in that order into one row-major
+    /// block — the trees' leaf-scan layout. Borrows the backing buffer
+    /// once rather than resolving it per point.
+    pub(crate) fn rows_in_order(&self, positions: &[u32]) -> Vec<f64> {
+        let (data, m) = (self.data(), self.f);
+        let mut out = Vec::with_capacity(positions.len() * m);
+        for &p in positions {
+            let p = p as usize;
+            out.extend_from_slice(&data[p * m..(p + 1) * m]);
+        }
+        out
+    }
+
     /// The dense row-major backing buffer (`len × n_features`), exposed so
     /// the snapshot layer can serialize the matrix bit-exactly; inverse of
     /// [`FeatureMatrix::from_dense`].
@@ -189,6 +202,53 @@ pub fn knn(
 /// Reusable-buffer variant of [`knn`] against a prebuilt matrix.
 pub fn knn_into(fm: &FeatureMatrix, query: &[f64], k: usize, out: &mut Vec<Neighbor>) {
     fm.knn_into(query, k, out);
+}
+
+/// The matrices the tree builders' identity tests run on: random,
+/// duplicate-heavy, constant-column and tiny shapes, each once owned and
+/// once view-backed (borrowed from a shared byte buffer, as a loaded
+/// snapshot's matrix is).
+#[cfg(test)]
+pub(crate) fn build_identity_cases() -> Vec<(String, FeatureMatrix)> {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    let mut rng = StdRng::seed_from_u64(0x5EED);
+    let mut shapes: Vec<(String, usize, Vec<f64>)> = Vec::new();
+    for (n, m) in [(0usize, 2usize), (7, 3), (2000, 1), (2000, 3), (1500, 4)] {
+        let data = (0..n * m).map(|_| rng.gen_range(-10.0..10.0)).collect();
+        shapes.push((format!("random n={n} m={m}"), m, data));
+    }
+    // Four distinct values per column: every median select meets ties.
+    let dup = (0..1200 * 3).map(|c| ((c * 7 / 3) % 4) as f64).collect();
+    shapes.push(("duplicate-heavy n=1200 m=3".into(), 3, dup));
+    let constant = (0..1000 * 4)
+        .map(|c| {
+            if c % 4 == 1 {
+                5.0
+            } else {
+                rng.gen_range(-3.0..3.0)
+            }
+        })
+        .collect();
+    shapes.push(("constant column n=1000 m=4".into(), 4, constant));
+    let mut cases = Vec::new();
+    for (name, m, data) in shapes {
+        let n = data.len() / m;
+        let ids: Vec<u32> = (0..n as u32).collect();
+        let bytes: Vec<u8> = data.iter().flat_map(|v: &f64| v.to_le_bytes()).collect();
+        let buf = iim_bytes::shared(&bytes);
+        let view = FloatSlice::view(&buf, 0, n * m);
+        assert!(view.is_view() || cfg!(target_endian = "big"));
+        cases.push((
+            format!("{name}, view"),
+            FeatureMatrix::from_dense(m, ids.clone(), view),
+        ));
+        cases.push((
+            format!("{name}, owned"),
+            FeatureMatrix::from_dense(m, ids, data),
+        ));
+    }
+    cases
 }
 
 #[cfg(test)]

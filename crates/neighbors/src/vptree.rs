@@ -100,9 +100,13 @@ pub(crate) struct VpNodes {
 }
 
 impl VpNodes {
-    /// Builds the structure over all points of `points`.
+    /// Builds the structure over all points of `points`, borrowing the
+    /// coordinates as one plain `&[f64]` for the whole build (the
+    /// [`kdtree`](crate::kdtree) module docs, "Build cost", say why).
     pub(crate) fn build(points: &FeatureMatrix) -> Self {
         let n = points.len();
+        let m = points.n_features();
+        let data = points.data();
         let mut idx: Vec<u32> = (0..n as u32).collect();
         let mut nodes = Vec::with_capacity(2 * (n / LEAF + 1));
         // Placeholder so child index 0 can mean "none".
@@ -115,22 +119,18 @@ impl VpNodes {
         });
         let mut scratch: Vec<(f64, u32)> = Vec::new();
         if n > 0 {
-            Self::build_rec(points, &mut nodes, &mut idx, 0, n, &mut scratch);
-        }
-        let m = points.n_features();
-        let mut gathered = Vec::with_capacity(n * m);
-        for &p in &idx {
-            gathered.extend_from_slice(points.point(p as usize));
+            Self::build_rec(data, m, &mut nodes, &mut idx, 0, n, &mut scratch);
         }
         Self {
             nodes,
+            gathered: points.rows_in_order(&idx),
             idx,
-            gathered,
         }
     }
 
     fn build_rec(
-        points: &FeatureMatrix,
+        data: &[f64],
+        m: usize,
         nodes: &mut Vec<Node>,
         idx: &mut [u32],
         start: usize,
@@ -152,12 +152,13 @@ impl VpNodes {
         // the front of the range and is scored at this node during search.
         let off = pick_vantage(&idx[start..end]);
         idx.swap(start, start + off);
-        let vp = points.point(idx[start] as usize);
+        let row = |p: u32| &data[p as usize * m..(p as usize + 1) * m];
+        let vp = row(idx[start]);
         scratch.clear();
         scratch.extend(
             idx[start + 1..end]
                 .iter()
-                .map(|&p| (sq_dist_f(vp, points.point(p as usize)), p)),
+                .map(|&p| (sq_dist_f(vp, row(p)), p)),
         );
         // Median split on (distance to vp, position): everything at or
         // below the median distance goes inside the ball, the rest outside.
@@ -175,8 +176,8 @@ impl VpNodes {
             outside: 0,
         });
         let mid = start + 1 + half + 1;
-        let inside = Self::build_rec(points, nodes, idx, start + 1, mid, scratch);
-        let outside = Self::build_rec(points, nodes, idx, mid, end, scratch);
+        let inside = Self::build_rec(data, m, nodes, idx, start + 1, mid, scratch);
+        let outside = Self::build_rec(data, m, nodes, idx, mid, end, scratch);
         nodes[node_id as usize].inside = inside;
         nodes[node_id as usize].outside = outside;
         node_id
@@ -377,6 +378,101 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(seed);
         let data: Vec<f64> = (0..n * f).map(|_| rng.gen_range(-10.0..10.0)).collect();
         FeatureMatrix::from_dense(f, (0..n as u32).collect::<Vec<u32>>(), data)
+    }
+
+    /// The reference builder: every point resolved through
+    /// [`FeatureMatrix::point`]. The real builder must produce exactly its
+    /// tree.
+    fn reference_build(points: &FeatureMatrix) -> VpNodes {
+        fn rec(
+            points: &FeatureMatrix,
+            nodes: &mut Vec<Node>,
+            idx: &mut [u32],
+            start: usize,
+            end: usize,
+            scratch: &mut Vec<(f64, u32)>,
+        ) -> u32 {
+            let node_id = nodes.len() as u32;
+            if end - start <= LEAF {
+                nodes.push(Node {
+                    mu: 0.0,
+                    start: start as u32,
+                    end: end as u32,
+                    inside: 0,
+                    outside: 0,
+                });
+                return node_id;
+            }
+            let off = pick_vantage(&idx[start..end]);
+            idx.swap(start, start + off);
+            let vp = points.point(idx[start] as usize);
+            scratch.clear();
+            scratch.extend(
+                idx[start + 1..end]
+                    .iter()
+                    .map(|&p| (sq_dist_f(vp, points.point(p as usize)), p)),
+            );
+            let half = scratch.len() / 2;
+            scratch.select_nth_unstable_by(half, |a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            let mu = scratch[half].0.sqrt();
+            for (slot, (_, p)) in idx[start + 1..end].iter_mut().zip(scratch.iter()) {
+                *slot = *p;
+            }
+            nodes.push(Node {
+                mu,
+                start: start as u32,
+                end: end as u32,
+                inside: 0,
+                outside: 0,
+            });
+            let mid = start + 1 + half + 1;
+            let inside = rec(points, nodes, idx, start + 1, mid, scratch);
+            let outside = rec(points, nodes, idx, mid, end, scratch);
+            nodes[node_id as usize].inside = inside;
+            nodes[node_id as usize].outside = outside;
+            node_id
+        }
+        let n = points.len();
+        let mut idx: Vec<u32> = (0..n as u32).collect();
+        let mut nodes = vec![Node {
+            mu: 0.0,
+            start: 0,
+            end: 0,
+            inside: 0,
+            outside: 0,
+        }];
+        if n > 0 {
+            rec(points, &mut nodes, &mut idx, 0, n, &mut Vec::new());
+        }
+        let mut gathered = Vec::new();
+        for &p in &idx {
+            gathered.extend_from_slice(points.point(p as usize));
+        }
+        VpNodes {
+            nodes,
+            idx,
+            gathered,
+        }
+    }
+
+    #[test]
+    fn build_matches_the_reference_builder_exactly() {
+        for (case, fm) in crate::brute::build_identity_cases() {
+            let got = VpNodes::build(&fm);
+            let want = reference_build(&fm);
+            assert_eq!(got.idx, want.idx, "{case}: permutation");
+            assert_eq!(got.nodes.len(), want.nodes.len(), "{case}: node count");
+            for (a, b) in got.nodes.iter().zip(&want.nodes) {
+                assert_eq!(
+                    (a.start, a.end, a.inside, a.outside),
+                    (b.start, b.end, b.inside, b.outside),
+                    "{case}: node shape"
+                );
+                assert_eq!(a.mu.to_bits(), b.mu.to_bits(), "{case}: radius");
+            }
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got.gathered), bits(&want.gathered), "{case}: gather");
+        }
     }
 
     #[test]

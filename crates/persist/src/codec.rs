@@ -32,12 +32,14 @@ use iim_baselines::mean::MeanModel;
 use iim_baselines::pmm::PmmModel;
 use iim_baselines::svd::FittedSvd;
 use iim_baselines::xgb::{Node, Tree, XgbModel};
+use iim_bytes::SharedBytes;
 use iim_core::{IimModel, Weighting};
 use iim_data::stats::ColumnTransform;
 use iim_data::{AttrPredictor, FillCache, FittedAttrModel, FittedImputer, FittedPerAttribute};
 use iim_linalg::{GramAccumulator, LuFactors, Matrix, RidgeModel};
 use iim_neighbors::brute::FeatureMatrix;
 use iim_neighbors::{IndexChoice, NeighborIndex};
+use std::ops::Range;
 
 /// Shape tag: a [`FittedPerAttribute`] driver (IIM and the per-attribute
 /// baselines).
@@ -110,7 +112,13 @@ fn get_feature_matrix(r: &mut Reader<'_>) -> Result<FeatureMatrix, PersistError>
 }
 
 /// Index kind byte: 0 = brute, 1 = kd-tree, 2 = vp-tree. Only the
-/// matrix ships; tree structures rebuild deterministically at load.
+/// matrix ships; tree structures rebuild deterministically at load. The
+/// rebuild reads the view-backed matrix through one borrowed slice: at
+/// n = 10k and m = 3–4 it takes 1.5 ms per kd-tree and 1.9–2.0 ms per
+/// vp-tree (the `index_build_n10000` bench group; table in
+/// `iim_neighbors::kdtree`), so a 4-attribute IIM snapshot spends about
+/// 6 ms of its activation here — too little to justify storing the
+/// layout under a new format version.
 fn put_index(w: &mut Writer, index: &NeighborIndex) {
     w.u8(match index.kind() {
         "kdtree" => 1,
@@ -352,8 +360,17 @@ fn get_predictor(r: &mut Reader<'_>, qdim: usize) -> Result<Box<dyn AttrPredicto
                 return Err(corrupt("iim: one ridge model per training tuple"));
             }
             let mut models = Vec::with_capacity(n);
-            for _ in 0..n {
-                models.push(get_ridge(r)?);
+            for i in 0..n {
+                let model = get_ridge(r)?;
+                // Serving zips φ against the query in release builds, so
+                // a short φ would silently drop coefficients.
+                if model.n_features() != qdim {
+                    return Err(corrupt(format!(
+                        "iim: tuple {i}'s model has {} coefficients for {qdim} features",
+                        model.phi.len()
+                    )));
+                }
+                models.push(model);
             }
             let chosen_ell = r.u32s_banked("iim chosen ell")?;
             if chosen_ell.len() != n {
@@ -852,13 +869,26 @@ pub fn encode_fitted_parts(
 
 /// Decodes a payload through the **validate-then-view** path: the
 /// payload (already checksum-validated by the container) is copied once
-/// into a shared aligned buffer, the bank extents are bounds-checked, and
-/// the heavy arrays are *borrowed* from the buffer instead of parsed into
-/// fresh `Vec`s — activation cost no longer scales with the bank bytes.
-/// Every meta byte must be consumed.
+/// into a shared aligned buffer and decoded there by the one in-place
+/// decoder. The snapshot loaders skip the copy: they decode the payload
+/// inside the buffer the file was read into.
 pub fn decode_fitted_view(payload: &[u8]) -> Result<Box<dyn FittedImputer>, PersistError> {
-    let shared = iim_bytes::shared(payload);
-    let bytes = shared.as_slice();
+    decode_fitted_in(&iim_bytes::shared(payload), 0..payload.len())
+}
+
+/// Decodes the payload occupying `range` of `buf` **in place**: the bank
+/// extents are bounds-checked, and the heavy arrays are *borrowed* from
+/// `buf` at `range.start + offset` instead of parsed into fresh `Vec`s —
+/// activation cost no longer scales with the bank bytes, and the model
+/// keeps all of `buf` alive. The views are zero-copy when `range.start`
+/// is 8-aligned in `buf`, as a snapshot file's payload is. Every meta
+/// byte must be consumed. Panics if `range` is out of `buf`'s bounds.
+pub(crate) fn decode_fitted_in(
+    buf: &SharedBytes,
+    range: Range<usize>,
+) -> Result<Box<dyn FittedImputer>, PersistError> {
+    let base = range.start;
+    let bytes = &buf.as_slice()[range];
     let mut hr = Reader::new(bytes);
     let meta_len = hr.scalar("v3 meta length")?;
     let f64_count = hr.scalar("v3 f64 bank count")?;
@@ -891,10 +921,10 @@ pub fn decode_fitted_view(payload: &[u8]) -> Result<Box<dyn FittedImputer>, Pers
         return Err(corrupt("non-zero padding between meta stream and banks"));
     }
     let banks = crate::wire::BankSource {
-        buf: shared.clone(),
-        f64_off,
+        buf: buf.clone(),
+        f64_off: base + f64_off,
         f64_len: f64_count,
-        u32_off,
+        u32_off: base + u32_off,
         u32_len: u32_count,
     };
     let mut r = Reader::with_banks(meta, banks);

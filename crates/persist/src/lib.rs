@@ -10,7 +10,9 @@
 //!   [`FittedImputer`](iim_data::FittedImputer) (magic bytes, format
 //!   version, method tag, checksummed payload; see [`snapshot`]).
 //! * [`load_path`] / [`load`] / [`load_from_slice`] — deserialize back
-//!   into a serving model.
+//!   into a serving model (each with a `_with_info` twin that also
+//!   returns the [`SnapshotInfo`]). All three decode in place, inside the
+//!   one buffer the snapshot was read or copied into.
 //! * [`inspect`] — container metadata without decoding the payload.
 //!
 //! # Guarantees
@@ -65,9 +67,9 @@ pub mod wire;
 pub use error::PersistError;
 pub use snapshot::{
     append_delta_path, encode_delta, inspect, load, load_from_slice, load_from_slice_with_info,
-    load_path, rename_durable, save, save_bytes_path, save_path, save_to_vec,
-    save_to_vec_with_schema, truncate_deltas_path, write_file_durable, SnapshotInfo, DELTA_MAGIC,
-    FORMAT_VERSION, MAGIC,
+    load_path, load_path_with_info, load_with_info, rename_durable, save, save_bytes_path,
+    save_path, save_to_vec, save_to_vec_with_schema, truncate_deltas_path, write_file_durable,
+    SnapshotInfo, DELTA_MAGIC, FORMAT_VERSION, MAGIC,
 };
 
 #[cfg(test)]

@@ -48,6 +48,22 @@
 //! references are bounds-checked against the bank extents, and the views
 //! keep the shared buffer alive (`iim-bytes`).
 //!
+//! # Loading in place
+//!
+//! A load holds **one buffer**. [`load_path`] and [`load`] read the file
+//! straight into an 8-aligned [`AlignedBuf`] (sized from the file length
+//! plus one spare word), and [`load_from_slice`] copies its input into
+//! one, once. The container
+//! header, the payload checksum, the delta records and the model's bank
+//! views all address that buffer: the payload at its in-file offset,
+//! which the header pad keeps 8-aligned, and the banks at that offset
+//! plus their offset within the payload. The file buffer *is* the bank
+//! buffer, so no caller holds the file bytes and a payload copy at once.
+//! The flip side: a loaded model keeps the whole file buffer alive for
+//! its lifetime, header and delta records included (8 + 8m bytes per
+//! absorbed row of m columns; saving the grown model afresh folds them
+//! into the base).
+//!
 //! The schema block records the training file's column names so serving
 //! layers can reject a query file whose columns are reordered or
 //! unrelated — with only an arity check, such queries would silently
@@ -106,12 +122,14 @@
 //! model twice yields identical bytes (hash-map iteration is sorted
 //! before serialization), so snapshots are diffable, cacheable artifacts.
 
-use crate::codec::{decode_fitted_view, encode_fitted_parts};
+use crate::codec::{decode_fitted_in, encode_fitted_parts};
 use crate::error::PersistError;
 use crate::wire::{fnv1a64, fnv1a64_words, Reader, Writer};
+use iim_bytes::{AlignedBuf, SharedBytes};
 use iim_data::FittedImputer;
 use std::io::{Read, Write};
 use std::path::Path;
+use std::sync::Arc;
 
 /// The 8 magic bytes opening every snapshot.
 pub const MAGIC: [u8; 8] = *b"IIMSNAP\0";
@@ -600,14 +618,26 @@ pub fn load_from_slice(bytes: &[u8]) -> Result<Box<dyn FittedImputer>, PersistEr
 
 /// [`load_from_slice`] returning the container metadata too (serving
 /// layers use [`SnapshotInfo::schema`] to validate query headers).
+///
+/// Copies `bytes` once into an aligned buffer, which the model then
+/// borrows from; [`load_path_with_info`] reads a file straight into one.
 pub fn load_from_slice_with_info(
     bytes: &[u8],
 ) -> Result<(Box<dyn FittedImputer>, SnapshotInfo), PersistError> {
+    load_shared(&iim_bytes::shared(bytes))
+}
+
+/// The one snapshot decoder, in place: the container, the payload
+/// checksum, the delta records and the model's bank views all address
+/// `buf` (see the module docs).
+fn load_shared(buf: &SharedBytes) -> Result<(Box<dyn FittedImputer>, SnapshotInfo), PersistError> {
+    let bytes = buf.as_slice();
     let mut header = parse_header(bytes)?;
     let (payload, base_end) = checked_payload(bytes, &header)?;
+    let payload = header.payload_start..header.payload_start + payload.len();
     let region = parse_delta_rows(&bytes[base_end..])?;
     let delta_rows = region.rows;
-    let mut fitted = decode_fitted_view(payload)?;
+    let mut fitted = decode_fitted_in(buf, payload)?;
     if fitted.name() != header.info.method {
         return Err(PersistError::Corrupt(format!(
             "method tag {:?} does not match the decoded model {:?}",
@@ -635,13 +665,34 @@ pub fn load_from_slice_with_info(
 }
 
 /// Reads a snapshot from `r` and decodes it.
-pub fn load<R: Read>(mut r: R) -> Result<Box<dyn FittedImputer>, PersistError> {
-    let mut bytes = Vec::new();
-    r.read_to_end(&mut bytes)?;
-    load_from_slice(&bytes)
+pub fn load<R: Read>(r: R) -> Result<Box<dyn FittedImputer>, PersistError> {
+    load_with_info(r).map(|(fitted, _)| fitted)
+}
+
+/// [`load`] returning the container metadata too. Reads `r` to EOF
+/// straight into the aligned buffer the model borrows from.
+pub fn load_with_info<R: Read>(
+    mut r: R,
+) -> Result<(Box<dyn FittedImputer>, SnapshotInfo), PersistError> {
+    load_shared(&Arc::new(AlignedBuf::read_from(&mut r, 0)?))
 }
 
 /// Reads a snapshot file and decodes it.
 pub fn load_path<P: AsRef<Path>>(path: P) -> Result<Box<dyn FittedImputer>, PersistError> {
-    load(std::fs::File::open(path)?)
+    load_path_with_info(path).map(|(fitted, _)| fitted)
+}
+
+/// [`load_path`] returning the container metadata too: the daemon's and
+/// the CLI's loader. The file is read once, into a buffer sized from its
+/// length, and decoded in place.
+pub fn load_path_with_info<P: AsRef<Path>>(
+    path: P,
+) -> Result<(Box<dyn FittedImputer>, SnapshotInfo), PersistError> {
+    let mut file = std::fs::File::open(path)?;
+    let size_hint = file
+        .metadata()
+        .ok()
+        .and_then(|m| usize::try_from(m.len()).ok())
+        .unwrap_or(0);
+    load_shared(&Arc::new(AlignedBuf::read_from(&mut file, size_hint)?))
 }

@@ -24,7 +24,8 @@ struct Banks {
 /// buffer plus the element offset/length of each bank inside it.
 #[derive(Debug, Clone)]
 pub struct BankSource {
-    /// The validated snapshot payload (checksummed before any view is
+    /// The buffer holding the validated payload — the whole snapshot
+    /// file on the loaders' in-place path (checksummed before any view is
     /// handed out).
     pub buf: SharedBytes,
     /// Byte offset of the `f64` bank inside `buf`.

@@ -339,9 +339,7 @@ impl Registry {
         let batcher = {
             let mut inner = lock_inner(&self.inner);
             if !inner.resident.contains_key(name) {
-                let bytes = read_model(&path, name)?;
-                let (model, info) =
-                    iim_persist::load_from_slice_with_info(&bytes).map_err(RegistryError::Load)?;
+                let (model, info) = load_model(&path, name)?;
                 if info.recovered_at.is_some() {
                     self.recovered.fetch_add(1, Ordering::Relaxed);
                 }
@@ -582,12 +580,28 @@ impl Registry {
 }
 
 fn read_model(path: &Path, name: &str) -> Result<Vec<u8>, RegistryError> {
-    match std::fs::read(path) {
-        Ok(b) => Ok(b),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-            Err(RegistryError::UnknownModel(name.to_string()))
-        }
-        Err(e) => Err(e.into()),
+    std::fs::read(path).map_err(|e| io_or_unknown(e, name))
+}
+
+/// Activates a tenant's snapshot: the file is read into the one buffer
+/// the model borrows from and decoded in place.
+fn load_model(
+    path: &Path,
+    name: &str,
+) -> Result<(Box<dyn iim_data::FittedImputer>, iim_persist::SnapshotInfo), RegistryError> {
+    iim_persist::load_path_with_info(path).map_err(|e| match e {
+        PersistError::Io(io) => io_or_unknown(io, name),
+        other => RegistryError::Load(other),
+    })
+}
+
+/// A missing `<name>.iim` is an unknown model; any other failure to read
+/// it is filesystem trouble.
+fn io_or_unknown(e: std::io::Error, name: &str) -> RegistryError {
+    if e.kind() == std::io::ErrorKind::NotFound {
+        RegistryError::UnknownModel(name.to_string())
+    } else {
+        RegistryError::Io(e)
     }
 }
 

@@ -309,16 +309,18 @@ fn impute(args: &[String]) -> ExitCode {
 }
 
 /// Loads a snapshot plus its container metadata, mapping failures to the
-/// CLI's data-error exit code.
+/// CLI's data-error exit code. The file is read into the one buffer the
+/// model then borrows from (`iim_persist::load_path_with_info`).
 fn load_snapshot(
     model_path: &str,
 ) -> Result<(Box<dyn FittedImputer>, iim_persist::SnapshotInfo), ExitCode> {
-    let bytes = std::fs::read(model_path).map_err(|e| {
-        eprintln!("error loading {model_path}: {e}");
-        ExitCode::FAILURE
-    })?;
-    iim_persist::load_from_slice_with_info(&bytes).map_err(|e| {
-        eprintln!("error loading {model_path}: {e}");
+    iim_persist::load_path_with_info(model_path).map_err(|e| {
+        // An unreadable file reports the bare OS error, unprefixed.
+        let why = match e {
+            iim_persist::PersistError::Io(io) => io.to_string(),
+            other => other.to_string(),
+        };
+        eprintln!("error loading {model_path}: {why}");
         ExitCode::FAILURE
     })
 }

@@ -13,6 +13,11 @@
 //!   flipping *any* single byte, or setting the format version to anything
 //!   but the current one (the retired v1 and v2 included) yields a typed
 //!   [`iim_persist::PersistError`] — never a panic, never a bogus model.
+//! * **One loader**: the file reader (`load_path`), the generic reader
+//!   (`load`) and the slice loader (`load_from_slice`) decode through the
+//!   same in-place decoder, so they agree on the metadata and on every
+//!   fill — delta records and torn tails included — and the reader path
+//!   is as total as the slice path.
 //! * **Served over HTTP**: a loaded snapshot behind the `iim-serve`
 //!   daemon answers a request large enough to fan out on the pool, and
 //!   single-row keep-alive requests, byte for byte as the fitted model.
@@ -20,11 +25,13 @@
 use iim::prelude::*;
 use iim_data::inject::inject_random;
 use iim_exec::Pool;
+use iim_persist::{PersistError, SnapshotInfo};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::path::{Path, PathBuf};
 
 /// IIM + all thirteen baselines, through the same single source of truth
 /// the CLI uses.
@@ -171,6 +178,246 @@ fn every_single_byte_flip_is_a_typed_error() {
                 bytes.len()
             );
         }
+    }
+}
+
+#[test]
+fn every_truncation_offset_is_a_typed_error_through_the_reader() {
+    for (name, bytes) in small_snapshots() {
+        for cut in 0..bytes.len() {
+            assert!(
+                iim_persist::load(&mut &bytes[..cut]).is_err(),
+                "{name}: prefix of {cut}/{} bytes loaded through the reader",
+                bytes.len()
+            );
+        }
+    }
+}
+
+#[test]
+fn every_single_byte_flip_is_a_typed_error_through_the_reader() {
+    for (name, bytes) in small_snapshots() {
+        for at in 0..bytes.len() {
+            let mut evil = bytes.clone();
+            evil[at] ^= 0x20;
+            assert!(
+                iim_persist::load(&mut &evil[..]).is_err(),
+                "{name}: flip at byte {at}/{} loaded through the reader",
+                bytes.len()
+            );
+        }
+    }
+}
+
+/// A fresh file holding `bytes` under the system temp directory.
+fn temp_snapshot(tag: &str, bytes: &[u8]) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("iim-persist-test-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(format!("{tag}.iim"));
+    std::fs::write(&path, bytes).unwrap();
+    path
+}
+
+type Loaded = (Box<dyn FittedImputer>, SnapshotInfo);
+
+/// The file at `path` through all three loaders: the path reader, the
+/// generic reader over an open file, and the slice loader.
+fn load_three_ways(path: &Path) -> [Result<Loaded, PersistError>; 3] {
+    [
+        iim_persist::load_path_with_info(path),
+        iim_persist::load_with_info(std::fs::File::open(path).unwrap()),
+        iim_persist::load_from_slice_with_info(&std::fs::read(path).unwrap()),
+    ]
+}
+
+/// Asserts the three loaders agree on `path`: equal metadata and
+/// bitwise-equal `impute_all` fills of `rel`. Returns the metadata.
+fn assert_loaders_agree(path: &Path, rel: &Relation, what: &str) -> SnapshotInfo {
+    let [by_path, by_reader, by_slice] = load_three_ways(path);
+    let (a, ai) = by_path.unwrap_or_else(|e| panic!("{what}: load_path: {e}"));
+    let (b, bi) = by_reader.unwrap_or_else(|e| panic!("{what}: load: {e}"));
+    let (c, ci) = by_slice.unwrap_or_else(|e| panic!("{what}: load_from_slice: {e}"));
+    assert_eq!(ai, bi, "{what}: load_path vs load metadata");
+    assert_eq!(ai, ci, "{what}: load_path vs load_from_slice metadata");
+    let serial = Pool::serial();
+    let fills = a.impute_all_on(&serial, rel).unwrap();
+    assert_bitwise_equal(&fills, &b.impute_all_on(&serial, rel).unwrap(), what);
+    assert_bitwise_equal(&fills, &c.impute_all_on(&serial, rel).unwrap(), what);
+    ai
+}
+
+/// 41 rows over three loosely linear columns, with a few holes. Odd
+/// row counts give some methods an odd `u32` bank, so their snapshots end
+/// mid-word.
+fn loader_relation() -> Relation {
+    let mut rng = StdRng::seed_from_u64(5);
+    let rows: Vec<Vec<f64>> = (0..41)
+        .map(|i| {
+            let x = i as f64 * 0.25;
+            (0..3)
+                .map(|j| x * (j + 1) as f64 + rng.gen_range(-0.5..0.5))
+                .collect()
+        })
+        .collect();
+    let mut rel = Relation::from_rows(Schema::anonymous(3), &rows);
+    inject_random(&mut rel, 6, &mut StdRng::seed_from_u64(11));
+    rel
+}
+
+#[test]
+fn every_loader_gives_the_same_model_for_every_method() {
+    let rel = loader_relation();
+    let mut residues = std::collections::BTreeSet::new();
+    for method in all_fourteen(4, 3) {
+        let fitted = match method.fit(&rel) {
+            Ok(f) => f,
+            Err(ImputeError::Unsupported(_)) => continue,
+            Err(e) => panic!("{} failed to fit: {e}", method.name()),
+        };
+        let path = temp_snapshot(&format!("every-{}", method.name()), &[]);
+        iim_persist::save_path(fitted.as_ref(), &path).unwrap();
+        residues.insert(std::fs::metadata(&path).unwrap().len() % 8);
+        let info = assert_loaders_agree(&path, &rel, method.name());
+        assert_eq!(
+            info,
+            iim_persist::inspect(&std::fs::read(&path).unwrap()).unwrap()
+        );
+        let reference = fitted.impute_all_on(&Pool::serial(), &rel).unwrap();
+        let loaded = iim_persist::load_path(&path).unwrap();
+        assert_bitwise_equal(
+            &reference,
+            &loaded.impute_all_on(&Pool::serial(), &rel).unwrap(),
+            method.name(),
+        );
+        std::fs::remove_file(&path).unwrap();
+    }
+    // Both a file ending exactly on a word and one ending mid-word went
+    // through the readers (the buffer is sized file length + one word).
+    assert!(
+        residues.contains(&0),
+        "no snapshot length was a multiple of 8"
+    );
+    assert!(
+        residues.len() > 1,
+        "every snapshot length was a multiple of 8"
+    );
+}
+
+#[test]
+fn every_loader_replays_delta_records_and_recovers_torn_tails_alike() {
+    let rel = loader_relation();
+    let rows: Vec<Vec<f64>> = (0..5)
+        .map(|i| (0..3).map(|j| 1.5 + i as f64 * 0.7 + j as f64).collect())
+        .collect();
+    for name in ["IIM", "GLR", "Mean"] {
+        let mut live = iim::methods::by_name(name, 4, 3)
+            .expect("lineup method")
+            .fit(&rel)
+            .expect("fit");
+        let path = temp_snapshot(&format!("delta-{name}"), &[]);
+        iim_persist::save_path(live.as_ref(), &path).unwrap();
+        iim_persist::append_delta_path(&path, &rows[..2]).unwrap();
+        iim_persist::append_delta_path(&path, &rows[2..]).unwrap();
+        for row in &rows {
+            live.absorb(row).unwrap();
+        }
+        let info = assert_loaders_agree(&path, &rel, name);
+        assert_eq!(info.absorbed_rows, rows.len(), "{name}");
+        assert_eq!(info.recovered_at, None, "{name}");
+        let replayed = iim_persist::load_path(&path).unwrap();
+        assert_bitwise_equal(
+            &live.impute_all_on(&Pool::serial(), &rel).unwrap(),
+            &replayed.impute_all_on(&Pool::serial(), &rel).unwrap(),
+            name,
+        );
+
+        // A torn final record, as a crash mid-append leaves it.
+        let valid_len = std::fs::metadata(&path).unwrap().len();
+        let record = iim_persist::encode_delta(&rows[..1]);
+        let mut file = std::fs::OpenOptions::new()
+            .append(true)
+            .open(&path)
+            .unwrap();
+        file.write_all(&record[..record.len() / 2]).unwrap();
+        drop(file);
+        let info = assert_loaders_agree(&path, &rel, name);
+        assert_eq!(info.recovered_at, Some(valid_len), "{name}: torn tail");
+        assert_eq!(info.absorbed_rows, rows.len(), "{name}: torn tail");
+        std::fs::remove_file(&path).unwrap();
+    }
+}
+
+#[test]
+fn tiny_files_are_typed_errors_through_every_loader() {
+    for (tag, bytes) in [("empty", &b""[..]), ("five", &b"IIMSN"[..])] {
+        let path = temp_snapshot(tag, bytes);
+        for (loader, got) in ["load_path", "load", "load_from_slice"]
+            .iter()
+            .zip(load_three_ways(&path))
+        {
+            assert!(
+                matches!(
+                    got,
+                    Err(PersistError::BadMagic) | Err(PersistError::Truncated { .. })
+                ),
+                "{tag} file through {loader}: {:?}",
+                got.map(|(_, info)| info)
+            );
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+}
+
+#[test]
+fn an_iim_model_with_a_short_phi_is_refused_naming_the_tuple() {
+    // A checksum-clean snapshot whose fourth tuple carries a 1-coefficient
+    // φ for a 1-feature target: serving would zip φ's slope away.
+    use iim::data::{FittedAttrModel, FittedPerAttribute};
+    use iim::linalg::RidgeModel;
+    use iim::neighbors::{brute::FeatureMatrix, IndexChoice, NeighborIndex};
+    let (rel, _) = iim::data::paper_fig1();
+    let rows = rel.complete_rows();
+    let n = rows.len();
+    let fm = FeatureMatrix::gather(&rel, &[0], &rows);
+    let ys: Vec<f64> = rows.iter().map(|&r| rel.value(r as usize, 1)).collect();
+    let mut models: Vec<RidgeModel> = ys
+        .iter()
+        .map(|&y| RidgeModel {
+            phi: vec![y, 0.5].into(),
+        })
+        .collect();
+    models[3] = RidgeModel {
+        phi: vec![ys[3]].into(),
+    };
+    let model = IimModel::from_parts(
+        NeighborIndex::build(fm, IndexChoice::Auto),
+        models,
+        vec![2u32; n],
+        ys,
+        1e-6,
+        3,
+        Weighting::MutualVote,
+    );
+    let sum: f64 = rows.iter().map(|&r| rel.value(r as usize, 0)).sum();
+    let driver = FittedPerAttribute::from_parts(
+        "IIM".into(),
+        2,
+        vec![
+            None,
+            Some(FittedAttrModel {
+                features: vec![0],
+                means: vec![sum / n as f64],
+                mean_sums: vec![sum],
+                mean_count: n,
+                predictor: Box::new(model),
+            }),
+        ],
+    );
+    let bytes = iim_persist::save_to_vec(&driver).unwrap();
+    match iim_persist::load_from_slice(&bytes) {
+        Err(PersistError::Corrupt(msg)) => assert!(msg.contains("tuple 3"), "{msg}"),
+        Err(other) => panic!("expected Corrupt naming tuple 3, got {other:?}"),
+        Ok(_) => panic!("expected Corrupt naming tuple 3, got a model"),
     }
 }
 
