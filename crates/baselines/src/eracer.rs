@@ -160,6 +160,7 @@ impl Eracer {
         let m = rel.arity();
         let features = self.features.resolve(m, target);
         let task = AttrTask::new(rel, features.clone(), target);
+        task.require_features("ERACER")?;
         if task.n_train() == 0 {
             return Err(ImputeError::NoTrainingData { target });
         }

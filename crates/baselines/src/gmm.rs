@@ -136,6 +136,14 @@ impl AttrEstimator for Gmm {
             data[(i, f)] = ys[i];
         }
 
+        // The ridge keeps every covariance of finite data invertible, so an
+        // LU failure means sums that overflowed.
+        let singular = || {
+            ImputeError::Unsupported(
+                "GMM: a component covariance overflows and cannot be factored".into(),
+            )
+        };
+
         // Init: deterministic k-means on standardized joint coordinates
         // (stride-pick seeds, a few Lloyd iterations), then per-cluster
         // moments. Row-order independent up to the seed picks. Starting
@@ -196,11 +204,11 @@ impl AttrEstimator for Gmm {
             let factored: Vec<(LuFactors, f64)> = covs
                 .iter()
                 .map(|cov| {
-                    let lu = LuFactors::new(cov).expect("ridged covariance");
+                    let lu = LuFactors::new(cov).ok_or_else(singular)?;
                     let ld = lu.det().abs().max(1e-300).ln();
-                    (lu, ld)
+                    Ok((lu, ld))
                 })
-                .collect();
+                .collect::<Result<_, ImputeError>>()?;
             let mut ll = 0.0;
             for i in 0..n {
                 let row = data.row(i).to_vec();
@@ -265,7 +273,7 @@ impl AttrEstimator for Gmm {
 
         // Pre-factor conditionals per component.
         let comps: Vec<Component> = (0..c)
-            .map(|k| {
+            .map(|k| -> Result<Component, ImputeError> {
                 let cov = &covs[k];
                 let mut sff = Matrix::zeros(f, f);
                 for a in 0..f {
@@ -274,19 +282,19 @@ impl AttrEstimator for Gmm {
                     }
                 }
                 let sfy: Vec<f64> = (0..f).map(|a| cov[(a, f)]).collect();
-                let lu_ff = LuFactors::new(&sff).expect("ridged covariance block");
+                let lu_ff = LuFactors::new(&sff).ok_or_else(singular)?;
                 let log_det_ff = lu_ff.det().abs().max(1e-300).ln();
                 let beta = lu_ff.solve(&sfy);
-                Component {
+                Ok(Component {
                     weight: weights[k],
                     mu_f: means.row(k)[..f].to_vec(),
                     mu_y: means.row(k)[f],
                     lu_ff,
                     log_det_ff,
                     beta,
-                }
+                })
             })
-            .collect();
+            .collect::<Result<_, _>>()?;
         let global_mean_y = ys.iter().sum::<f64>() / n as f64;
         Ok(Box::new(GmmModel {
             comps,

@@ -151,6 +151,7 @@ impl Ills {
         let m = rel.arity();
         let features = self.features.resolve(m, target);
         let task = AttrTask::new(rel, features.clone(), target);
+        task.require_features("ILLS")?;
         if task.n_train() == 0 {
             return Err(ImputeError::NoTrainingData { target });
         }

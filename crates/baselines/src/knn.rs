@@ -87,6 +87,7 @@ impl AttrEstimator for Knn {
     }
 
     fn fit(&self, task: &AttrTask<'_>) -> Result<Box<dyn AttrPredictor>, ImputeError> {
+        task.require_features("kNN")?;
         if task.n_train() == 0 {
             return Err(ImputeError::NoTrainingData {
                 target: task.target,

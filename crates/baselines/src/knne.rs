@@ -78,6 +78,7 @@ impl AttrEstimator for Knne {
     }
 
     fn fit(&self, task: &AttrTask<'_>) -> Result<Box<dyn AttrPredictor>, ImputeError> {
+        task.require_features("kNNE")?;
         if task.n_train() == 0 {
             return Err(ImputeError::NoTrainingData {
                 target: task.target,

@@ -92,6 +92,7 @@ impl AttrEstimator for Loess {
     }
 
     fn fit(&self, task: &AttrTask<'_>) -> Result<Box<dyn AttrPredictor>, ImputeError> {
+        task.require_features("LOESS")?;
         if task.n_train() == 0 {
             return Err(ImputeError::NoTrainingData {
                 target: task.target,

@@ -20,17 +20,34 @@
 //! every grid point in fixed buffers, keeping only the best φ; one
 //! [`RidgeModel`] is built per tuple. An attribute's fit therefore holds
 //! O(threads · n) of neighbor state rather than an n × ℓ_max matrix.
-//! The floating-point operations are those of
+//!
+//! The sweep is one generic loop over a Gram pair. For 1–8 features
+//! (augmented width M = 2..=9: every paper analog, and both benchmark
+//! workloads) the pair is `Fixed<M>`: the lower triangle of `U` and `V`
+//! on stack arrays, solved by
+//! [`solve_spd_regularized_fixed`],
+//! so the per-row update, the Cholesky factor and the solves unroll at
+//! compile time. Wider relations use the general [`GramAccumulator`] and
+//! [`Matrix`] solve. Each tuple's validator rows and targets are gathered
+//! once, and every grid point is priced over them with [`predict_phi`].
+//! Incremental and from-scratch sweeps, with or without the cost table,
+//! run the same loop; the width is the only selector.
+//!
+//! Either pair performs the floating-point operations of
 //! [`ModelSweep`](crate::incremental::ModelSweep) over stored
 //! [`NeighborOrders`], in the same order, so Φ and ℓ* are bitwise what
-//! that reference computes (property-tested in `tests/adaptive_props.rs`).
+//! that reference computes (property-tested in `tests/adaptive_props.rs`
+//! on both sides of the width dispatch).
 
 use crate::config::AdaptiveConfig;
 use crate::incremental::sweep_values;
 use crate::learn::unsolvable;
 use iim_data::ImputeError;
 use iim_exec::Pool;
-use iim_linalg::{predict_phi, solve_spd_regularized_into, GramAccumulator, Matrix, RidgeModel};
+use iim_linalg::{
+    predict_phi, solve_spd_regularized_fixed, solve_spd_regularized_into, GramAccumulator, Matrix,
+    RidgeModel,
+};
 use iim_neighbors::{brute::FeatureMatrix, NeighborIndex, NeighborOrders, PrefixScratch, Prefixes};
 use std::cell::Cell;
 
@@ -103,7 +120,7 @@ pub fn adaptive_learn_detailed(
     }
     let results: Vec<Option<PerTuple>> = pool.parallel_map_indexed(n, |i| {
         iim_exec::with_tls_scratch(&SCRATCH, |scratch| {
-            scratch.reserve(fm.n_features(), prefixes.depth());
+            scratch.prefix.resize(prefixes.depth(), 0);
             prefixes.fill(i, &mut scratch.search, &mut scratch.prefix);
             sweep.run(validators.of(i), scratch)
         })
@@ -193,43 +210,14 @@ impl Validators {
 }
 
 /// Per-worker buffers of the sweep, reused across tuples: the learning
-/// prefix, its search scratch, the Gram pair, the Cholesky workspace, and
-/// the current and best φ.
+/// prefix and its search scratch, and the tuple's validator rows and
+/// targets.
+#[derive(Default)]
 struct SweepScratch {
     prefix: Vec<u32>,
     search: PrefixScratch,
-    acc: GramAccumulator,
-    factor: Matrix,
-    phi: Vec<f64>,
-    best_phi: Vec<f64>,
-}
-
-impl Default for SweepScratch {
-    fn default() -> Self {
-        Self::sized(0)
-    }
-}
-
-impl SweepScratch {
-    fn sized(n_features: usize) -> Self {
-        let m = n_features + 1;
-        Self {
-            prefix: Vec::new(),
-            search: PrefixScratch::new(),
-            acc: GramAccumulator::new(n_features),
-            factor: Matrix::zeros(m, m),
-            phi: vec![0.0; m],
-            best_phi: vec![0.0; m],
-        }
-    }
-
-    /// Sizes the buffers for `n_features` and a prefix of `depth`.
-    fn reserve(&mut self, n_features: usize, depth: usize) {
-        if self.phi.len() != n_features + 1 {
-            *self = Self::sized(n_features);
-        }
-        self.prefix.resize(depth, 0);
-    }
+    val_x: Vec<f64>,
+    val_y: Vec<f64>,
 }
 
 /// The selection of one tuple.
@@ -249,14 +237,157 @@ struct Sweep<'a> {
     record_costs: bool,
 }
 
+/// One tuple's augmented Gram pair `(U, V)` and its ridge solve
+/// (Formula 19), as the sweep drives it.
+trait Gram {
+    /// Storage of one φ.
+    type Phi: AsRef<[f64]> + AsMut<[f64]> + Clone;
+    /// The augmented width: features + 1.
+    fn width(&self) -> usize;
+    fn zero_phi(&self) -> Self::Phi;
+    fn clear(&mut self);
+    /// Absorbs one observation; `x` excludes the constant column.
+    fn add_row(&mut self, x: &[f64], y: f64);
+    /// Solves `(U + αE) φ = V` into `phi`; `false` when no shift does.
+    fn solve(&mut self, alpha: f64, phi: &mut Self::Phi) -> bool;
+}
+
+/// The Gram pair at a compile-time augmented width `M` (1–8 features):
+/// the lower triangle of `U`, which is all the solve reads, and `V`.
+struct Fixed<const M: usize> {
+    u: [[f64; M]; M],
+    v: [f64; M],
+}
+
+impl<const M: usize> Fixed<M> {
+    fn new() -> Self {
+        Self {
+            u: [[0.0; M]; M],
+            v: [0.0; M],
+        }
+    }
+}
+
+impl<const M: usize> Gram for Fixed<M> {
+    type Phi = [f64; M];
+
+    fn width(&self) -> usize {
+        M
+    }
+
+    fn zero_phi(&self) -> [f64; M] {
+        [0.0; M]
+    }
+
+    fn clear(&mut self) {
+        *self = Self::new();
+    }
+
+    /// Adds what [`accumulate_augmented`](iim_linalg::ridge::accumulate_augmented)
+    /// adds to the lower triangle and to `V` at weight 1, where each
+    /// product with the weight is exact.
+    #[inline(always)]
+    fn add_row(&mut self, x: &[f64], y: f64) {
+        let x = &x[..M - 1];
+        self.u[0][0] += 1.0;
+        for j in 1..M {
+            let xj = x[j - 1];
+            self.u[j][0] += xj;
+            for k in j..M {
+                self.u[k][j] += xj * x[k - 1];
+            }
+        }
+        self.v[0] += y;
+        for j in 1..M {
+            self.v[j] += y * x[j - 1];
+        }
+    }
+
+    fn solve(&mut self, alpha: f64, phi: &mut [f64; M]) -> bool {
+        solve_spd_regularized_fixed(&self.u, &self.v, alpha, phi)
+    }
+}
+
+/// The Gram pair of a relation with more than 8 features.
+struct Wide {
+    acc: GramAccumulator,
+    factor: Matrix,
+}
+
+impl Wide {
+    fn new(n_features: usize) -> Self {
+        let m = n_features + 1;
+        Self {
+            acc: GramAccumulator::new(n_features),
+            factor: Matrix::zeros(m, m),
+        }
+    }
+}
+
+impl Gram for Wide {
+    type Phi = Vec<f64>;
+
+    fn width(&self) -> usize {
+        self.acc.v().len()
+    }
+
+    fn zero_phi(&self) -> Vec<f64> {
+        vec![0.0; self.width()]
+    }
+
+    fn clear(&mut self) {
+        self.acc.clear();
+    }
+
+    fn add_row(&mut self, x: &[f64], y: f64) {
+        self.acc.add_row(x, y);
+    }
+
+    fn solve(&mut self, alpha: f64, phi: &mut Vec<f64>) -> bool {
+        solve_spd_regularized_into(self.acc.u(), self.acc.v(), alpha, &mut self.factor, phi)
+    }
+}
+
 impl Sweep<'_> {
     /// Sweeps the ℓ grid over the prefix in `s.prefix`, charging each
     /// candidate model against `validators`. `None` when a ridge solve
     /// fails.
+    ///
+    /// The validators' rows and targets are gathered once; the Gram pair
+    /// is [`Fixed`] at the relation's width up to 8 features, [`Wide`]
+    /// beyond.
     fn run(&self, validators: &[u32], s: &mut SweepScratch) -> Option<PerTuple> {
+        let q = self.fm.n_features();
+        s.val_x.clear();
+        s.val_y.clear();
+        for &j in validators {
+            s.val_x.extend_from_slice(self.fm.point(j as usize));
+            s.val_y.push(self.ys[j as usize]);
+        }
+        let t = (&s.prefix[..], &s.val_x[..], &s.val_y[..]);
+        match q + 1 {
+            2 => self.sweep(&mut Fixed::<2>::new(), t),
+            3 => self.sweep(&mut Fixed::<3>::new(), t),
+            4 => self.sweep(&mut Fixed::<4>::new(), t),
+            5 => self.sweep(&mut Fixed::<5>::new(), t),
+            6 => self.sweep(&mut Fixed::<6>::new(), t),
+            7 => self.sweep(&mut Fixed::<7>::new(), t),
+            8 => self.sweep(&mut Fixed::<8>::new(), t),
+            9 => self.sweep(&mut Fixed::<9>::new(), t),
+            _ => self.sweep(&mut Wide::new(q), t),
+        }
+    }
+
+    /// The sweep of one tuple over an empty Gram pair `g`: its learning
+    /// prefix, and its validators' gathered rows and targets.
+    fn sweep<G: Gram>(
+        &self,
+        g: &mut G,
+        (prefix, val_x, val_y): (&[u32], &[f64], &[f64]),
+    ) -> Option<PerTuple> {
         let (fm, ys) = (self.fm, self.ys);
-        s.acc.clear();
-        let prefix = &s.prefix;
+        let mut phi = g.zero_phi();
+        let mut best_phi = g.zero_phi();
         let mut absorbed = 0;
         let mut best: Option<(f64, usize)> = None;
         let mut costs = self
@@ -265,27 +396,27 @@ impl Sweep<'_> {
         for &ell in self.swept {
             if ell == 1 {
                 // §III-A2 single-neighbor special case: the constant model.
-                s.phi.fill(0.0);
-                s.phi[0] = ys[prefix[0] as usize];
+                let p = phi.as_mut();
+                p.fill(0.0);
+                p[0] = ys[prefix[0] as usize];
             } else {
                 // Incremental: absorb Formula 14's increment T^(ℓ+h) \ T^(ℓ).
                 // Straightforward: re-accumulate the whole prefix.
                 if !self.incremental {
-                    s.acc.clear();
+                    g.clear();
                     absorbed = 0;
                 }
                 for &p in &prefix[absorbed..ell] {
-                    s.acc.add_row(fm.point(p as usize), ys[p as usize]);
+                    g.add_row(fm.point(p as usize), ys[p as usize]);
                 }
                 absorbed = ell;
-                let (u, v) = (s.acc.u(), s.acc.v());
-                if !solve_spd_regularized_into(u, v, self.alpha, &mut s.factor, &mut s.phi) {
+                if !g.solve(self.alpha, &mut phi) {
                     return None;
                 }
             }
             let mut cost = 0.0;
-            for &j in validators {
-                let err = ys[j as usize] - predict_phi(&s.phi, fm.point(j as usize));
+            for (x, &y) in val_x.chunks_exact(g.width() - 1).zip(val_y) {
+                let err = y - predict_phi(phi.as_ref(), x);
                 cost += err * err;
             }
             if let Some(c) = costs.as_mut() {
@@ -295,13 +426,13 @@ impl Sweep<'_> {
             // argmin-in-order semantics of Line 9.
             if best.is_none_or(|(b, _)| cost < b) {
                 best = Some((cost, ell));
-                s.best_phi.copy_from_slice(&s.phi);
+                best_phi.clone_from(&phi);
             }
         }
         let (_, ell) = best.expect("sweep is non-empty");
         Some(PerTuple {
             model: RidgeModel {
-                phi: s.best_phi.clone().into(),
+                phi: best_phi.as_ref().to_vec().into(),
             },
             ell: ell as u32,
             costs,

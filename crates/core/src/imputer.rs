@@ -145,6 +145,7 @@ impl IimModel {
     /// of `task` (Algorithm 1 for [`Learning::Fixed`], Algorithm 3 for
     /// [`Learning::Adaptive`]).
     pub fn learn(task: &AttrTask<'_>, cfg: &IimConfig) -> Result<Self, ImputeError> {
+        task.require_features("IIM")?;
         if task.n_train() == 0 {
             return Err(ImputeError::NoTrainingData {
                 target: task.target,

@@ -478,6 +478,18 @@ impl<'a> AttrTask<'a> {
         self.train_rows.len()
     }
 
+    /// Fails with [`ImputeError::Unsupported`] when the feature set `F` is
+    /// empty, as it is on a one-attribute relation: `method` looks for
+    /// neighbors over `F`, and there is nothing to measure them on.
+    pub fn require_features(&self, method: &str) -> Result<(), ImputeError> {
+        if self.features.is_empty() {
+            return Err(ImputeError::Unsupported(format!(
+                "{method} needs at least one attribute besides the target"
+            )));
+        }
+        Ok(())
+    }
+
     /// Gathers the feature vector of `row` into `out`.
     pub fn feature_vec(&self, row: usize, out: &mut Vec<f64>) {
         self.rel.gather(row, &self.features, out);

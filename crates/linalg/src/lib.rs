@@ -37,7 +37,9 @@ pub use eigen::eigen_sym;
 pub use gram::GramAccumulator;
 pub use matrix::Matrix;
 pub use ridge::{predict_phi, ridge_fit, ridge_fit_weighted, RidgeModel};
-pub use solve::{cholesky, solve_spd, solve_spd_regularized_into, LuFactors};
+pub use solve::{
+    cholesky, solve_spd, solve_spd_regularized_fixed, solve_spd_regularized_into, LuFactors,
+};
 pub use svd::{thin_svd, ThinSvd};
 
 /// Numerical tolerance used across the crate for "is effectively zero"

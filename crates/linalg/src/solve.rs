@@ -148,6 +148,96 @@ pub fn solve_spd_regularized_into(
     false
 }
 
+/// [`solve_spd_regularized_into`] at a compile-time width `M`, for the
+/// small systems the adaptive sweep solves by the hundred per tuple.
+///
+/// Only the lower triangle and the diagonal of `a` are read (the upper
+/// triangle may hold anything). The Cholesky factor and the two
+/// triangular solves run the same textbook recurrences in the same
+/// order, the shift escalates from `alpha0` through `EPS · mean_diag`
+/// exactly as there, and a system no shift solves fails the same way, so
+/// both forms return the same bits; the fixed width lets the loops unroll
+/// over stack arrays. Returns `false` where that form does (`x` is then
+/// unspecified).
+pub fn solve_spd_regularized_fixed<const M: usize>(
+    a: &[[f64; M]; M],
+    b: &[f64; M],
+    alpha0: f64,
+    x: &mut [f64; M],
+) -> bool {
+    let mean_diag = (0..M).map(|i| a[i][i].abs()).sum::<f64>().max(EPS) / M as f64;
+    let mut l = [[0.0f64; M]; M];
+    let mut shift = alpha0.max(0.0);
+    for _ in 0..40 {
+        if factor_shifted_fixed(a, shift, &mut l) {
+            cholesky_solve_fixed(&l, b, x);
+            if x.iter().all(|v| v.is_finite()) {
+                return true;
+            }
+        }
+        shift = if shift == 0.0 {
+            EPS * mean_diag
+        } else {
+            shift * 10.0
+        };
+        if shift > 1e6 * mean_diag {
+            break;
+        }
+    }
+    false
+}
+
+/// [`factor_shifted`] over arrays: the lower triangle of `l` receives the
+/// factor of `a + shift·E`, read from `a`'s lower triangle.
+#[inline(always)]
+fn factor_shifted_fixed<const M: usize>(
+    a: &[[f64; M]; M],
+    shift: f64,
+    l: &mut [[f64; M]; M],
+) -> bool {
+    for i in 0..M {
+        for j in 0..i {
+            let mut sum = a[i][j];
+            for k in 0..j {
+                sum -= l[i][k] * l[j][k];
+            }
+            l[i][j] = sum / l[j][j];
+        }
+        let mut sum = a[i][i];
+        if shift > 0.0 {
+            sum += shift;
+        }
+        for k in 0..i {
+            sum -= l[i][k] * l[i][k];
+        }
+        if sum <= 0.0 || !sum.is_finite() {
+            return false;
+        }
+        l[i][i] = sum.sqrt();
+    }
+    true
+}
+
+/// [`cholesky_solve_into`] over arrays.
+#[inline(always)]
+fn cholesky_solve_fixed<const M: usize>(l: &[[f64; M]; M], b: &[f64; M], x: &mut [f64; M]) {
+    *x = *b;
+    for i in 0..M {
+        let mut sum = x[i];
+        for k in 0..i {
+            sum -= l[i][k] * x[k];
+        }
+        x[i] = sum / l[i][i];
+    }
+    for i in (0..M).rev() {
+        let mut sum = x[i];
+        for k in i + 1..M {
+            sum -= l[k][i] * x[k];
+        }
+        x[i] = sum / l[i][i];
+    }
+}
+
 /// LU factorization with partial pivoting: `P A = L U`.
 ///
 /// `L` has an implicit unit diagonal; both factors are packed into one
@@ -368,7 +458,7 @@ mod tests {
             seed ^= seed << 17;
             (seed >> 11) as f64 / (1u64 << 53) as f64 * 10.0 - 5.0
         };
-        for n in 1..8 {
+        for n in 1..=9 {
             let rows: Vec<Vec<f64>> = (0..n + 2)
                 .map(|_| (0..n).map(|_| next()).collect())
                 .collect();
@@ -383,11 +473,48 @@ mod tests {
             let mut x = vec![f64::NAN; n];
             assert!(solve_spd_regularized_into(&a, &b, 0.0, &mut factor, &mut x));
             assert_eq!(bits(&x), want, "n={n}");
+            // The fixed-width twin, unshifted and through the escalation.
+            assert_eq!(bits(&fixed_solve(&a, &b, 0.0).unwrap()), want, "n={n}");
+            let semidefinite = Matrix::from_rows(&refs[..1]).gram();
+            assert_eq!(
+                fixed_solve(&semidefinite, &b, 0.0).map(|x| bits(&x)),
+                solve_spd_regularized(&semidefinite, &b, 0.0).map(|x| bits(&x)),
+                "n={n}"
+            );
         }
         // An overflowing system fails every shift rather than returning
-        // non-finite coefficients.
+        // non-finite coefficients, in both forms.
         let overflow = Matrix::from_rows(&[&[f64::INFINITY, 0.0], &[0.0, 1.0]]);
         assert!(solve_spd_regularized(&overflow, &[1.0, 1.0], 1e-6).is_none());
+        assert!(fixed_solve(&overflow, &[1.0, 1.0], 1e-6).is_none());
+        let huge = Matrix::from_rows(&[&[1e300, 1e300], &[1e300, 1e300]]).gram();
+        assert!(solve_spd_regularized(&huge, &[1.0, 1.0], 1e-6).is_none());
+        assert!(fixed_solve(&huge, &[1.0, 1.0], 1e-6).is_none());
+    }
+
+    /// [`solve_spd_regularized_fixed`] on `a`'s lower triangle, with NaN
+    /// in the upper triangle to show it is never read.
+    fn fixed_solve(a: &Matrix, b: &[f64], alpha: f64) -> Option<Vec<f64>> {
+        fn at<const M: usize>(a: &Matrix, b: &[f64], alpha: f64) -> Option<Vec<f64>> {
+            let lower = std::array::from_fn(|i| {
+                std::array::from_fn(|j| if j <= i { a[(i, j)] } else { f64::NAN })
+            });
+            let mut x = [f64::NAN; M];
+            let b = b.try_into().expect("one entry per row");
+            solve_spd_regularized_fixed::<M>(&lower, b, alpha, &mut x).then(|| x.to_vec())
+        }
+        match a.rows() {
+            1 => at::<1>(a, b, alpha),
+            2 => at::<2>(a, b, alpha),
+            3 => at::<3>(a, b, alpha),
+            4 => at::<4>(a, b, alpha),
+            5 => at::<5>(a, b, alpha),
+            6 => at::<6>(a, b, alpha),
+            7 => at::<7>(a, b, alpha),
+            8 => at::<8>(a, b, alpha),
+            9 => at::<9>(a, b, alpha),
+            n => panic!("no fixed width {n}"),
+        }
     }
 
     #[test]

@@ -142,12 +142,11 @@ fn bench_dist_kernels(c: &mut Criterion) {
 
 fn bench_orders_prefix(c: &mut Criterion) {
     // One row of a deep learning prefix (the adaptive sweep's per-tuple
-    // enumeration), by the kd-tree's k-NN query and by the scan + select +
-    // sort path, per row. The ratio n / depth at which the tree starts to
-    // win sets `SCAN_DEPTH_RATIO`; the table in its rustdoc comes from
-    // this group.
+    // enumeration), by the kd-tree's k-NN query and by the bucketed scan,
+    // per row. The ratio n / depth at which the tree starts to win sets
+    // `SCAN_DEPTH_RATIO`; the table in its rustdoc comes from this group.
     let mut group = c.benchmark_group("orders_prefix_m4");
-    for n in [2_000usize, 9_000, 20_000, 50_000] {
+    for n in [2_000usize, 5_000, 9_000, 20_000, 50_000, 100_000] {
         let fm = random_matrix(n, 4, 41);
         let kd = NeighborIndex::build(fm.clone(), IndexChoice::KdTree);
         let brute = NeighborIndex::build(fm, IndexChoice::Brute);

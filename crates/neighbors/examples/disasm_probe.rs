@@ -6,7 +6,7 @@
 //! inside an `#[inline(never)]` wrapper, letting objdump inspect exactly
 //! the code shape the library inlines everywhere else.
 
-use iim_neighbors::{sq_dist_f, sq_dist_many, sq_dist_on};
+use iim_neighbors::{sq_dist_f, sq_dist_many, sq_dist_many_fixed, sq_dist_on};
 
 #[inline(never)]
 pub fn probe_sq_dist_f(a: &[f64], b: &[f64]) -> f64 {
@@ -16,6 +16,12 @@ pub fn probe_sq_dist_f(a: &[f64], b: &[f64]) -> f64 {
 #[inline(never)]
 pub fn probe_sq_dist_many(query: &[f64], block: &[f64], out: &mut [f64]) {
     sq_dist_many(query, block, out)
+}
+
+/// The width-4 form of the prefix scan's width-specialized distance pass.
+#[inline(never)]
+pub fn probe_sq_dist_many_fixed4(query: &[f64; 4], block: &[f64], out: &mut [f64]) {
+    sq_dist_many_fixed(query, block, out)
 }
 
 #[inline(never)]
@@ -34,5 +40,11 @@ fn main() {
     let d1 = probe_sq_dist_f(&a, &b);
     probe_sq_dist_many(&a, &block, &mut out);
     let d2 = probe_sq_dist_on(&a, &b, &attrs);
-    println!("{d1} {} {d2}", out.iter().sum::<f64>());
+    let mut out4 = vec![0.0; 2 * n];
+    probe_sq_dist_many_fixed4(&[a[0], a[1], a[2], a[3]], &block, &mut out4);
+    println!(
+        "{d1} {} {d2} {}",
+        out.iter().sum::<f64>(),
+        out4.iter().sum::<f64>()
+    );
 }

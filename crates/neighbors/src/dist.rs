@@ -71,6 +71,26 @@ pub fn sq_dist_many(query: &[f64], block: &[f64], out: &mut [f64]) {
     }
 }
 
+/// [`sq_dist_many`] at a compile-time width `W`: element `e` of a row
+/// folds into lane `e % 4` in the same order and the lanes reduce as
+/// `(s0 + s1) + (s2 + s3)`, so each value is **bitwise equal** to
+/// [`sq_dist_many`]'s. The known width unrolls the per-row kernel, which
+/// the prefix scan runs over every point for 2–8 features.
+#[inline]
+pub fn sq_dist_many_fixed<const W: usize>(query: &[f64; W], block: &[f64], out: &mut [f64]) {
+    let (rows, rest) = block.as_chunks::<W>();
+    debug_assert!(W > 0 && rest.is_empty());
+    debug_assert_eq!(rows.len(), out.len());
+    for (o, row) in out.iter_mut().zip(rows) {
+        let mut acc = [0.0f64; 4];
+        for e in 0..W {
+            let d = query[e] - row[e];
+            acc[e % 4] += d * d;
+        }
+        *o = ((acc[0] + acc[1]) + (acc[2] + acc[3])) / W as f64;
+    }
+}
+
 /// Formula-1 distance between two gathered feature vectors.
 #[inline]
 pub fn euclidean_f(a: &[f64], b: &[f64]) -> f64 {
@@ -161,6 +181,29 @@ mod tests {
             let scalar = sq_dist_f(&query, &block[r * m..(r + 1) * m]);
             assert_eq!(got.to_bits(), scalar.to_bits(), "row {r}");
         }
+        // The fixed-width form at every width the prefix scan uses and
+        // past it, with an overflowing row.
+        fn fixed<const W: usize>() {
+            let query: [f64; W] = std::array::from_fn(|j| (j as f64) * 0.37 - 1.0);
+            let mut block: Vec<f64> = (0..W * 13)
+                .map(|i| ((i * 31 % 97) as f64) * 0.11 - 5.0)
+                .collect();
+            block[W] = 1e200;
+            let (mut want, mut got) = (vec![0.0; 13], vec![0.0; 13]);
+            sq_dist_many(&query, &block, &mut want);
+            sq_dist_many_fixed(&query, &block, &mut got);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "W={W}");
+        }
+        fixed::<1>();
+        fixed::<2>();
+        fixed::<3>();
+        fixed::<4>();
+        fixed::<5>();
+        fixed::<6>();
+        fixed::<7>();
+        fixed::<8>();
+        fixed::<9>();
     }
 
     #[test]

@@ -31,7 +31,9 @@ pub mod orders;
 pub mod vptree;
 
 pub use brute::{knn, knn_into, Neighbor};
-pub use dist::{euclidean_f, euclidean_full, sq_dist_f, sq_dist_many, sq_dist_on};
+pub use dist::{
+    euclidean_f, euclidean_full, sq_dist_f, sq_dist_many, sq_dist_many_fixed, sq_dist_on,
+};
 pub use heap::KnnScratch;
 pub use index::{auto_choice, auto_prefers_kdtree, rebuild_threshold, IndexChoice, NeighborIndex};
 pub use kdtree::KdTree;

@@ -14,11 +14,37 @@
 //! The kernel picks one of three paths per matrix and depth:
 //!
 //! * one feature: a sorted-line sweep, O(depth) per row after one sort;
-//! * `depth · SCAN_DEPTH_RATIO ≥ n`, or no tree to ask: one blocked
-//!   [`sq_dist_many`] scan, then `select_nth_unstable` and
-//!   `sort_unstable` over packed (total-order distance bits, position)
-//!   keys;
+//! * `depth · SCAN_DEPTH_RATIO ≥ n`, or no tree to ask: a bucketed scan
+//!   (below);
 //! * otherwise the stored KD-tree's or VP-tree's k-NN query.
+//!
+//! # The bucketed scan
+//!
+//! 1. All `n` squared Formula-1 distances, into per-worker scratch:
+//!    [`sq_dist_many_fixed`] for 2–8 features, [`sq_dist_many`] beyond.
+//!    Both give the bits [`sq_dist_f`](crate::dist::sq_dist_f) gives.
+//! 2. A threshold `thr` from a strided sample (every 8th distance),
+//!    ranked so that about 1.25 · depth points are expected at or below
+//!    it (Floyd and Rivest's selection by sampling).
+//! 3. The candidates: every point with `d ≤ thr`, gathered in position
+//!    order. When at least `depth` points qualify, the `depth` smallest
+//!    `(distance, position)` keys are all among them, since any key
+//!    beyond `thr` orders after every candidate.
+//! 4. A counting sort of the candidates into `nb = count` buckets by
+//!    `min(nb − 1, ⌊d · (nb / thr)⌋)`, an index monotone in `d`, so the
+//!    buckets concatenate in order. Only within a bucket are keys sorted,
+//!    by `(f64::total_cmp, position)`, and the walk stops once `depth`
+//!    rows are placed; the last bucket it needs is selected before it is
+//!    sorted.
+//!
+//! The degenerate cases run the same walk with one bucket: `thr` is 0
+//! (the sample's rank falls among exact duplicates of the tuple) or not
+//! finite (overflowing rows), and, with every point a candidate, fewer
+//! than `depth` candidates, a NaN distance (`total_cmp` orders it first
+//! or last by its sign, where no bucket index can put it), or
+//! `depth = n`. The scan therefore returns what a
+//! full sort of all `n` keys returns; the select-and-sort key scan it
+//! replaced is kept in the tests as that reference.
 //!
 //! The scan and the trees order candidates by the same
 //! `(squared distance, position)` key, so they return the same rows for
@@ -28,38 +54,45 @@
 //! instead.
 
 use crate::brute::FeatureMatrix;
-use crate::dist::sq_dist_many;
-use crate::heap::{KnnScratch, SCAN_TILE};
+use crate::dist::{sq_dist_many, sq_dist_many_fixed};
+use crate::heap::KnnScratch;
 use crate::index::{IndexChoice, NeighborIndex};
 use crate::Neighbor;
 use iim_exec::Pool;
 use std::cell::Cell;
+use std::cmp::Ordering;
 
 /// Scan-versus-tree cutover of the prefix kernel: a row of `depth`
-/// neighbors among `n` candidates is enumerated by a full scan plus
-/// selection when `depth · SCAN_DEPTH_RATIO ≥ n`, and by a tree query
-/// below that.
+/// neighbors among `n` candidates is enumerated by the bucketed scan
+/// when `depth · SCAN_DEPTH_RATIO ≥ n`, and by a tree query below that.
 ///
 /// A deep tree query visits most leaves anyway and pays a heap push per
 /// candidate, while the scan's cost grows with `n` and barely with the
 /// depth. The `orders_prefix_m4` criterion group (`cargo bench -p
 /// iim-neighbors --bench knn`) times both per row, in µs, on one thread of
-/// a 2-vCPU Xeon VM (uniform points, m = 4):
+/// a 2-vCPU Xeon VM (uniform points, m = 4; each figure is the lowest
+/// median of three runs, to discount the VM's steal time):
 ///
-/// | depth | n   | n / depth | kd-tree | scan |
-/// |-------|-----|-----------|---------|------|
-/// | 100   | 2k  | 20        | 26      | 27   |
-/// | 100   | 9k  | 90        | 29      | 108  |
-/// | 100   | 20k | 200       | 40      | 183  |
-/// | 100   | 50k | 500       | 37      | 525  |
-/// | 1000  | 2k  | 2         | 187     | 52   |
-/// | 1000  | 9k  | 9         | 306     | 146  |
-/// | 1000  | 20k | 20        | 294     | 221  |
-/// | 1000  | 50k | 50        | 327     | 511  |
+/// | depth | n    | n / depth | kd-tree | scan |
+/// |-------|------|-----------|---------|------|
+/// | 100   | 2k   | 20        | 18.5    | 9.1  |
+/// | 100   | 5k   | 50        | 21.8    | 19.4 |
+/// | 100   | 9k   | 90        | 23.5    | 31.6 |
+/// | 100   | 20k  | 200       | 27.4    | 64.5 |
+/// | 100   | 50k  | 500       | 26.1    | 173  |
+/// | 100   | 100k | 1000      | 30.3    | 366  |
+/// | 1000  | 2k   | 2         | 129     | 29.4 |
+/// | 1000  | 5k   | 5         | 167     | 37.3 |
+/// | 1000  | 9k   | 9         | 207     | 48.5 |
+/// | 1000  | 20k  | 20        | 205     | 76.5 |
+/// | 1000  | 50k  | 50        | 231     | 169  |
+/// | 1000  | 100k | 100       | 264     | 338  |
 ///
-/// The paths cross near n = 20 · depth at depth 100 and n ≈ 27 · depth
-/// at depth 1000; the cutover sits between.
-pub const SCAN_DEPTH_RATIO: usize = 24;
+/// Interpolated linearly, the paths cross near n = 59 · depth at depth
+/// 100 and n = 73 · depth at depth 1000; the cutover sits between. Rows
+/// are the same on either side (the paths agree bitwise), so the ratio
+/// sets speed only.
+pub const SCAN_DEPTH_RATIO: usize = 64;
 
 /// Whether the kernel scans (rather than asks a tree) for `depth`
 /// neighbors among `n` candidates.
@@ -73,7 +106,7 @@ enum Path<'a> {
     /// One feature: positions sorted by coordinate, and each position's
     /// rank in that order.
     Line { by_x: Vec<u32>, rank_of: Vec<u32> },
-    /// Blocked distance scan, select, sort.
+    /// The bucketed distance scan.
     Scan,
     /// The index's own k-NN query (a KD-tree or VP-tree).
     Tree(&'a NeighborIndex),
@@ -87,13 +120,31 @@ pub struct Prefixes<'a> {
     path: Path<'a>,
 }
 
-/// Reusable buffers for [`Prefixes::fill`]: the scan's keys and the tree
-/// query's selection heap and output. Contents never influence results.
+/// Reusable buffers for [`Prefixes::fill`]: the scan's distances, sample,
+/// candidates and buckets, and the tree query's selection heap and
+/// output. Each is O(n) and grows to steady state on first use; contents
+/// never influence results.
 #[derive(Default)]
 pub struct PrefixScratch {
-    keys: Vec<u128>,
+    scan: ScanScratch,
     knn: KnnScratch,
     found: Vec<Neighbor>,
+}
+
+#[derive(Default)]
+struct ScanScratch {
+    /// Squared distance to every point, by position.
+    dists: Vec<f64>,
+    /// Every [`SAMPLE_STRIDE`]-th distance.
+    sample: Vec<f64>,
+    /// `(distance, position)` of the candidates, in position order.
+    cands: Vec<(f64, u32)>,
+    /// Each candidate's bucket.
+    slots: Vec<u32>,
+    /// The candidates grouped by bucket.
+    bucketed: Vec<(f64, u32)>,
+    /// Per bucket: its start, then (after the scatter) its end.
+    ends: Vec<usize>,
 }
 
 impl PrefixScratch {
@@ -101,6 +152,92 @@ impl PrefixScratch {
     pub fn new() -> Self {
         Self::default()
     }
+}
+
+/// Stride of the scan's threshold sample.
+const SAMPLE_STRIDE: usize = 8;
+
+/// The scan's key order: distance by [`f64::total_cmp`], then position.
+#[inline]
+fn by_key(a: &(f64, u32), b: &(f64, u32)) -> Ordering {
+    a.0.total_cmp(&b.0).then(a.1.cmp(&b.1))
+}
+
+/// Squared distances from `q` to every row of the row-major `data`.
+fn sq_dists(q: &[f64], data: &[f64], out: &mut [f64]) {
+    fn fixed<const W: usize>(q: &[f64], data: &[f64], out: &mut [f64]) {
+        sq_dist_many_fixed::<W>(q.try_into().expect("query width"), data, out);
+    }
+    match q.len() {
+        2 => fixed::<2>(q, data, out),
+        3 => fixed::<3>(q, data, out),
+        4 => fixed::<4>(q, data, out),
+        5 => fixed::<5>(q, data, out),
+        6 => fixed::<6>(q, data, out),
+        7 => fixed::<7>(q, data, out),
+        8 => fixed::<8>(q, data, out),
+        _ => sq_dist_many(q, data, out),
+    }
+}
+
+/// The scan's candidate threshold for a row of `depth`: the sample value
+/// at rank `(depth + depth / 4) / 8`, so that about 1.25 · depth points
+/// are expected at or below it; `None` when the sample is shorter.
+fn sampled_threshold(dists: &[f64], depth: usize, sample: &mut Vec<f64>) -> Option<f64> {
+    let rank = (depth + depth / 4) / SAMPLE_STRIDE;
+    sample.clear();
+    sample.extend(dists.iter().step_by(SAMPLE_STRIDE));
+    if rank >= sample.len() {
+        return None;
+    }
+    Some(*sample.select_nth_unstable_by(rank, f64::total_cmp).1)
+}
+
+/// Appends `(d, position)` for every distance not above `thr` to
+/// `cands`, in position order, and returns whether any of them is NaN
+/// (NaN is gathered too, to be seen). The comparisons of each block of 64
+/// distances fold into one mask, which vectorizes, so the pass branches
+/// per candidate rather than per point.
+fn gather_within(dists: &[f64], thr: f64, cands: &mut Vec<(f64, u32)>) -> bool {
+    let mut nan = false;
+    let mut keep = |base: usize, mut mask: u64| {
+        while mask != 0 {
+            let p = base + mask.trailing_zeros() as usize;
+            nan |= dists[p].is_nan();
+            cands.push((dists[p], p as u32));
+            mask &= mask - 1;
+        }
+    };
+    let (blocks, rest) = dists.as_chunks::<64>();
+    for (b, block) in blocks.iter().enumerate() {
+        let mut mask = 0u64;
+        for (k, &d) in block.iter().enumerate() {
+            mask |= u64::from((d <= thr) | d.is_nan()) << k;
+        }
+        keep(b * 64, mask);
+    }
+    let mut mask = 0u64;
+    for (k, &d) in rest.iter().enumerate() {
+        mask |= u64::from((d <= thr) | d.is_nan()) << k;
+    }
+    keep(blocks.len() * 64, mask);
+    nan
+}
+
+/// Sorts the first `row.len()` keys of `bucket` into `row` (all of them
+/// when the bucket is shorter) and returns how many it placed.
+fn place(bucket: &mut [(f64, u32)], row: &mut [u32]) -> usize {
+    let bucket = if bucket.len() > row.len() {
+        bucket.select_nth_unstable_by(row.len() - 1, by_key);
+        &mut bucket[..row.len()]
+    } else {
+        bucket
+    };
+    bucket.sort_unstable_by(by_key);
+    for (slot, &(_, p)) in row.iter_mut().zip(bucket.iter()) {
+        *slot = p;
+    }
+    bucket.len()
 }
 
 impl<'a> Prefixes<'a> {
@@ -144,7 +281,7 @@ impl<'a> Prefixes<'a> {
         }
         match &self.path {
             Path::Line { by_x, rank_of } => self.fill_line(by_x, rank_of, i, row),
-            Path::Scan => self.fill_scan(i, &mut scratch.keys, row),
+            Path::Scan => self.fill_scan(i, &mut scratch.scan, row),
             Path::Tree(index) => {
                 let found = &mut scratch.found;
                 index.knn_with(self.fm.point(i), self.depth, &mut scratch.knn, found);
@@ -191,48 +328,80 @@ impl<'a> Prefixes<'a> {
         }
     }
 
-    /// Scan path: squared distances to every point in tiles of the batched
-    /// kernel, packed with their positions into keys whose integer order is
-    /// the `(f64::total_cmp, position)` order; then the `depth` smallest
-    /// keys are selected and sorted.
-    fn fill_scan(&self, i: usize, keys: &mut Vec<u128>, row: &mut [u32]) {
-        let fm = self.fm;
-        let m = fm.n_features();
-        let q = fm.point(i);
-        let mut buf = [0.0f64; SCAN_TILE];
-        keys.clear();
-        for (t, tile) in fm.data().chunks(SCAN_TILE * m).enumerate() {
-            let rows = tile.len() / m;
-            sq_dist_many(q, tile, &mut buf[..rows]);
-            let base = t * SCAN_TILE;
-            keys.extend(
-                buf[..rows]
-                    .iter()
-                    .enumerate()
-                    .map(|(r, &sq)| (u128::from(total_order_bits(sq)) << 32) | (base + r) as u128),
-            );
+    /// Scan path (see the module docs): every distance, a sampled
+    /// threshold, and a walk over the buckets of the candidates within it.
+    fn fill_scan(&self, i: usize, s: &mut ScanScratch, row: &mut [u32]) {
+        let (fm, depth) = (self.fm, self.depth);
+        let n = fm.len();
+        s.dists.resize(n, 0.0);
+        sq_dists(fm.point(i), fm.data(), &mut s.dists);
+        let (dists, cands) = (&s.dists, &mut s.cands);
+        cands.clear();
+        let mut within = None;
+        if depth < n {
+            if let Some(thr) = sampled_threshold(dists, depth, &mut s.sample) {
+                let nan = gather_within(dists, thr, cands);
+                if cands.len() >= depth && !nan {
+                    within = Some(thr);
+                }
+            }
         }
-        if self.depth < keys.len() {
-            keys.select_nth_unstable(self.depth - 1);
+        let thr = match within {
+            Some(thr) if thr > 0.0 && thr.is_finite() => thr,
+            // `thr` is 0 or not finite: one bucket.
+            Some(_) => {
+                place(cands, row);
+                return;
+            }
+            // Every point is a candidate, in one bucket.
+            None => {
+                cands.clear();
+                cands.extend(dists.iter().enumerate().map(|(p, &d)| (d, p as u32)));
+                place(cands, row);
+                return;
+            }
+        };
+        // Counting sort into `nb = count` buckets by a monotone index; the
+        // scatter keeps each bucket in position order.
+        let nb = cands.len();
+        let (scale, last) = (nb as f64 / thr, nb as u32 - 1);
+        s.slots.clear();
+        s.slots
+            .extend(cands.iter().map(|&(d, _)| ((d * scale) as u32).min(last)));
+        let ends = &mut s.ends;
+        ends.clear();
+        ends.resize(nb, 0);
+        for &b in &s.slots {
+            ends[b as usize] += 1;
         }
-        let best = &mut keys[..self.depth];
-        best.sort_unstable();
-        for (slot, &key) in row.iter_mut().zip(best.iter()) {
-            *slot = key as u32;
+        let mut start = 0;
+        for end in ends.iter_mut() {
+            let len = *end;
+            *end = start;
+            start += len;
         }
-    }
-}
-
-/// The bits of `x` mapped so that unsigned integer order is
-/// [`f64::total_cmp`] order: negative values have every bit flipped,
-/// the others only their sign bit.
-#[inline]
-fn total_order_bits(x: f64) -> u64 {
-    let bits = x.to_bits();
-    if bits >> 63 == 1 {
-        !bits
-    } else {
-        bits | 1 << 63
+        s.bucketed.resize(nb, (0.0, 0));
+        for (&key, &b) in cands.iter().zip(&s.slots) {
+            let end = &mut ends[b as usize];
+            s.bucketed[*end] = key;
+            *end += 1;
+        }
+        let (mut start, mut placed) = (0, 0);
+        for &end in ends.iter() {
+            let keys = &mut s.bucketed[start..end];
+            start = end;
+            match keys.len() {
+                0 => continue,
+                1 => {
+                    row[placed] = keys[0].1;
+                    placed += 1;
+                }
+                _ => placed += place(keys, &mut row[placed..]),
+            }
+            if placed == depth {
+                break;
+            }
+        }
     }
 }
 
@@ -337,14 +506,94 @@ mod tests {
         rows
     }
 
-    /// `fm` with every 50th point replaced by a copy of point 5.
+    /// `fm` with every 50th point replaced by a copy of point 5 (of the
+    /// last point in matrices of five or fewer).
     fn with_duplicates(fm: &FeatureMatrix) -> FeatureMatrix {
         let mut data = Vec::new();
         for i in 0..fm.len() {
-            let src = if i % 50 == 0 { 5 } else { i };
+            let src = if i % 50 == 0 { 5.min(fm.len() - 1) } else { i };
             data.extend_from_slice(fm.point(src));
         }
         FeatureMatrix::from_dense(fm.n_features(), fm.row_ids().to_vec(), data)
+    }
+
+    /// A matrix of `n` points on `f` features whose value at (point,
+    /// feature) is `value(point, feature, random draw)`.
+    fn matrix_of(n: usize, f: usize, value: impl Fn(usize, usize, f64) -> f64) -> FeatureMatrix {
+        let mut rng = StdRng::seed_from_u64(n as u64 * 31 + f as u64);
+        let data = (0..n * f)
+            .map(|c| value(c / f, c % f, rng.gen_range(-5.0..5.0)))
+            .collect::<Vec<f64>>();
+        FeatureMatrix::from_dense(f, (0..n as u32).collect::<Vec<u32>>(), data)
+    }
+
+    /// Inputs for the path-agreement test, each reaching different scan
+    /// cases: bucketed ties, a zero threshold (most points are exact
+    /// duplicates of each other), an infinite threshold and infinite
+    /// distances (1e200 coordinates), too few candidates (every sampled
+    /// position sits in one far cluster), and a width past the
+    /// specialized distance kernels.
+    fn path_inputs(n: usize) -> Vec<(&'static str, FeatureMatrix)> {
+        vec![
+            ("random", with_duplicates(&random_matrix(n, 3, 31))),
+            (
+                "duplicate-heavy",
+                matrix_of(n, 2, |p, j, _| (p % 3 + j) as f64),
+            ),
+            (
+                "constant column",
+                matrix_of(n, 4, |_, j, r| if j == 0 { 1.5 } else { r }),
+            ),
+            (
+                "1e200",
+                matrix_of(n, 5, |p, j, r| match (p % 7, j) {
+                    (3, 2) => 1e200,
+                    (5, 0) => -1e200,
+                    _ => r,
+                }),
+            ),
+            (
+                "strided",
+                matrix_of(
+                    n,
+                    3,
+                    |p, _, r| if p % 8 == 0 { r * 1e-3 } else { 100.0 + r },
+                ),
+            ),
+            ("wide", matrix_of(n, 9, |_, _, r| r)),
+        ]
+    }
+
+    /// The bits of `x` mapped so that unsigned integer order is
+    /// [`f64::total_cmp`] order: negative values have every bit flipped,
+    /// the others only their sign bit.
+    fn total_order_bits(x: f64) -> u64 {
+        let bits = x.to_bits();
+        if bits >> 63 == 1 {
+            !bits
+        } else {
+            bits | 1 << 63
+        }
+    }
+
+    /// The reference row: the select-and-sort key scan the bucketed scan
+    /// replaced. All `n` keys, packed as (total-order distance bits,
+    /// position) so that integer order is the kernel's key order; the
+    /// `depth` smallest are selected, then sorted.
+    fn reference_row(fm: &FeatureMatrix, i: usize, depth: usize) -> Vec<u32> {
+        let mut dists = vec![0.0; fm.len()];
+        sq_dist_many(fm.point(i), fm.data(), &mut dists);
+        let mut keys: Vec<u128> = dists
+            .iter()
+            .enumerate()
+            .map(|(p, &d)| (u128::from(total_order_bits(d)) << 32) | p as u128)
+            .collect();
+        if depth < keys.len() {
+            keys.select_nth_unstable(depth - 1);
+        }
+        let best = &mut keys[..depth];
+        best.sort_unstable();
+        best.iter().map(|&key| key as u32).collect()
     }
 
     #[test]
@@ -394,37 +643,73 @@ mod tests {
         // Below the scan cutover the build routes through the tree; it must
         // agree with the scan bitwise, including the tie-breaks exercised
         // by duplicated points.
-        let fm = with_duplicates(&random_matrix(600, 3, 17));
-        assert!(!scans(600, 12));
+        let fm = with_duplicates(&random_matrix(1000, 3, 17));
+        assert!(!scans(1000, 12));
         let auto = NeighborOrders::build_on(&Pool::serial(), &fm, 12);
         let scan = scan_rows(&fm, 12);
-        for i in 0..600 {
+        for i in 0..1000 {
             assert_eq!(auto.neighbors_of(i), &scan[i * 12..(i + 1) * 12], "{i}");
         }
     }
 
     #[test]
     fn kernel_paths_agree_on_both_sides_of_the_cutover() {
-        // n = 700: depths below `cut` ask a tree, `cut` and up scan.
-        let fm = with_duplicates(&random_matrix(700, 3, 31));
-        let cut = 700usize.div_ceil(SCAN_DEPTH_RATIO);
-        for depth in [1usize, 5, cut - 1, cut, 400, 700] {
-            let want = scan_rows(&fm, depth);
-            for choice in [IndexChoice::Brute, IndexChoice::KdTree, IndexChoice::VpTree] {
-                let index = NeighborIndex::build(fm.clone(), choice);
-                let prefixes = Prefixes::new(&index, depth);
-                let tree = matches!(prefixes.path, Path::Tree(_));
-                assert_eq!(tree, choice != IndexChoice::Brute && depth < cut);
-                let mut scratch = PrefixScratch::new();
-                let mut row = vec![0u32; depth];
-                for i in (0..700).step_by(13) {
-                    prefixes.fill(i, &mut scratch, &mut row);
-                    assert_eq!(
-                        row,
-                        &want[i * depth..(i + 1) * depth],
-                        "{choice:?} {depth} {i}"
-                    );
+        // Depths below `cut` ask a tree, `cut` and up scan; every path
+        // returns the reference key scan's rows.
+        for n in (2usize..=8).chain([700, 2000]) {
+            let cut = n.div_ceil(SCAN_DEPTH_RATIO);
+            let mut depths: Vec<usize> = [1, 5, cut - 1, cut, n / 2, n - 1, n]
+                .into_iter()
+                .filter(|d| (1..=n).contains(d))
+                .collect();
+            depths.sort_unstable();
+            depths.dedup();
+            for (what, fm) in path_inputs(n) {
+                for choice in [IndexChoice::Brute, IndexChoice::KdTree, IndexChoice::VpTree] {
+                    let index = NeighborIndex::build(fm.clone(), choice);
+                    for &depth in &depths {
+                        let prefixes = Prefixes::new(&index, depth);
+                        let tree = matches!(prefixes.path, Path::Tree(_));
+                        assert_eq!(tree, choice != IndexChoice::Brute && depth < cut);
+                        let mut scratch = PrefixScratch::new();
+                        let mut row = vec![0u32; depth];
+                        for i in (0..n).step_by(n.div_ceil(40)) {
+                            prefixes.fill(i, &mut scratch, &mut row);
+                            assert_eq!(
+                                row,
+                                reference_row(&fm, i, depth),
+                                "{what}: n {n}, {choice:?}, depth {depth}, point {i}"
+                            );
+                        }
+                    }
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn nan_distances_order_like_the_reference() {
+        // Infinite coordinates make the distances among such points a
+        // negative NaN, which `total_cmp` orders before every distance; a
+        // NaN coordinate makes a positive NaN, ordered after every one.
+        // The scan must place both where the full sort does.
+        let fm = matrix_of(60, 2, |p, j, r| match (p % 20, j) {
+            (4, 1) => f64::INFINITY,
+            (9, 0) => f64::NAN,
+            _ => r,
+        });
+        let index = NeighborIndex::build(fm.clone(), IndexChoice::Brute);
+        for depth in [1usize, 5, 20, 59, 60] {
+            let prefixes = Prefixes::new(&index, depth);
+            let mut scratch = PrefixScratch::new();
+            let mut row = vec![0u32; depth];
+            for i in 0..60 {
+                prefixes.fill(i, &mut scratch, &mut row);
+                assert_eq!(
+                    row,
+                    reference_row(&fm, i, depth),
+                    "depth {depth}, point {i}"
+                );
             }
         }
     }
@@ -475,7 +760,8 @@ mod tests {
     fn parallel_build_matches_serial() {
         // Every construction path (line sweep, brute selection, tree
         // queries) is identical for every worker count.
-        for (n, f) in [(90usize, 1usize), (90, 3), (700, 2)] {
+        assert!(!scans(1000, 12));
+        for (n, f) in [(90usize, 1usize), (90, 3), (1000, 2)] {
             let fm = random_matrix(n, f, 21);
             let serial = NeighborOrders::build_on(&Pool::serial(), &fm, 12);
             let parallel = NeighborOrders::build_on(&Pool::new(4).with_serial_cutoff(1), &fm, 12);

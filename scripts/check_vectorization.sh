@@ -35,7 +35,7 @@ disasm_sym() {
 
 fail=0
 # Dense kernels: contiguous loads, must compile to packed-double SIMD.
-for sym in probe_sq_dist_f probe_sq_dist_many; do
+for sym in probe_sq_dist_f probe_sq_dist_many probe_sq_dist_many_fixed4; do
     asm=$(disasm_sym "$sym")
     if [ -z "$asm" ]; then
         echo "FAIL: symbol $sym not found in $bin" >&2

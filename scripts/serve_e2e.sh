@@ -444,10 +444,22 @@ daemon=$!
 trap 'kill $daemon 2>/dev/null || true' EXIT
 wait_healthy $PORT || fail "overload: daemon never became healthy"
 
-# Hold the only admitted slot on a raw keep-alive connection.
-exec 3<>"/dev/tcp/127.0.0.1/$PORT"
-printf 'GET /healthz HTTP/1.1\r\nHost: e2e\r\n\r\n' >&3
-read -r held_status <&3
+# Hold the only admitted slot on a raw keep-alive connection. The
+# daemon may not yet have seen wait_healthy's curl connection close, and
+# `/info` counts connections accepted, not open, so it cannot be polled
+# for zero: a 503 here means "not yet". Close, wait 0.1 s and retry, for
+# up to 5 s.
+held_status=""
+for _ in $(seq 1 50); do
+  exec 3<>"/dev/tcp/127.0.0.1/$PORT"
+  printf 'GET /healthz HTTP/1.1\r\nHost: e2e\r\n\r\n' >&3
+  read -r held_status <&3 || held_status="(connection closed)"
+  case "$held_status" in
+    *"200 OK"*) break ;;
+  esac
+  exec 3>&- 3<&-
+  sleep 0.1
+done
 case "$held_status" in
   *"200 OK"*) ;;
   *) fail "overload: held connection was not admitted: $held_status" ;;

@@ -106,18 +106,18 @@ fn dataset(n: usize, m: usize, dup_every: usize, seed: u64) -> (FeatureMatrix, V
 
 #[test]
 fn fused_sweep_matches_reference_with_auto_index_on_both_sides_of_the_cutover() {
-    // n = 2000, m = 4: Auto builds a KD-tree. A cap of 40 asks the tree
-    // for every learning prefix (40 · SCAN_DEPTH_RATIO < 2000); 100 scans.
+    // n = 2000, m = 4: Auto builds a KD-tree. A cap of 30 asks the tree
+    // for every learning prefix (30 · SCAN_DEPTH_RATIO < 2000); 100 scans.
     let (fm, ys) = dataset(2000, 4, 97, 7);
     let index = NeighborIndex::build(fm, IndexChoice::Auto);
     assert_eq!(index.kind(), "kdtree");
-    for cap in [40usize, 100] {
+    for cap in [30usize, 100] {
         let cfg = AdaptiveConfig {
             step: 5,
             ell_max: Some(cap),
             ..AdaptiveConfig::default()
         };
-        assert_eq!(cap * SCAN_DEPTH_RATIO < 2000, cap == 40);
+        assert_eq!(cap * SCAN_DEPTH_RATIO < 2000, cap == 30);
         assert_fused_matches_reference(&index, &ys, 10, &cfg, &format!("cap {cap}"));
     }
 }
@@ -207,16 +207,17 @@ proptest! {
 
     #[test]
     fn fused_sweep_matches_the_stored_order_reference(
-        (m, n) in (1usize..9, 4usize..331),
+        (m, n) in (1usize..11, 4usize..331),
         (cap_i, step_i) in (0usize..3, 0usize..3),
         (k, choice_i, straightforward) in (1usize..13, 0usize..3, 0usize..4),
         (dup_every, k_at_least_n) in (2usize..40, 0usize..5),
         seed in 0u64..1_000_000,
     ) {
-        // n spans the scan/tree cutover of a cap-7 prefix (7 ·
-        // SCAN_DEPTH_RATIO = 168); the validator orders (depth ≤ k + 1)
-        // cross it too.
-        let cap = [None, Some(7), Some(50)][cap_i];
+        // n spans the scan/tree cutover of a cap-4 prefix (4 ·
+        // SCAN_DEPTH_RATIO); the validator orders (depth ≤ k + 1) cross it
+        // too. m spans the sweep's width dispatch: fixed-width Gram pairs
+        // up to 8 features, the general accumulator beyond.
+        let cap = [None, Some(4), Some(50)][cap_i];
         let step = [1usize, 3, 5][step_i];
         let choice = [IndexChoice::Brute, IndexChoice::KdTree, IndexChoice::VpTree][choice_i];
         let k = if k_at_least_n == 0 { n + k } else { k };

@@ -142,14 +142,59 @@ fn overflowing_cell_is_a_data_error_not_a_panic() {
     }
     let input = dir.join("overflow.csv");
     std::fs::write(&input, body).unwrap();
-    let out = Command::new(iim_bin())
-        .args(["impute", "--method", "IIM", input.to_str().unwrap()])
-        .output()
-        .unwrap();
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(1), "{stderr}");
-    assert!(stderr.contains("no finite solution"), "{stderr}");
-    assert!(!stderr.contains("panicked"), "{stderr}");
+    for (method, why) in [("IIM", "no finite solution"), ("GMM", "cannot be factored")] {
+        let out = Command::new(iim_bin())
+            .args(["impute", "--method", method, input.to_str().unwrap()])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{method}: {stderr}");
+        assert!(stderr.contains(why), "{method}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{method}: {stderr}");
+    }
+}
+
+#[test]
+fn one_column_relation_is_filled_or_refused_by_every_method() {
+    // A relation with no attribute besides the target: the methods that
+    // need features refuse it with a typed error (exit 1), the rest fill
+    // it; none panics.
+    let dir = temp_dir("one-column");
+    let input = dir.join("one.csv");
+    std::fs::write(&input, "x\n1.0\n2.0\n?\n4.0\n5.0\n6.0\n").unwrap();
+    let listed = Command::new(iim_bin()).arg("methods").output().unwrap();
+    let listed = String::from_utf8(listed.stdout).unwrap();
+    let methods: Vec<&str> = listed
+        .lines()
+        .filter_map(|l| l.split_whitespace().next())
+        .collect();
+    assert_eq!(methods.len(), 14, "{listed}");
+    let mut refused = Vec::new();
+    for method in methods {
+        let out = Command::new(iim_bin())
+            .args(["impute", "--method", method, input.to_str().unwrap()])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!stderr.contains("panicked"), "{method}: {stderr}");
+        match out.status.code() {
+            Some(0) => {
+                let filled = String::from_utf8(out.stdout).unwrap();
+                let cell = filled.lines().nth(3).unwrap_or_default();
+                assert!(
+                    cell.parse::<f64>().is_ok_and(f64::is_finite),
+                    "{method}: {filled}"
+                );
+            }
+            Some(1) => {
+                assert!(stderr.contains("needs at least"), "{method}: {stderr}");
+                refused.push(method);
+            }
+            code => panic!("{method} exited {code:?}: {stderr}"),
+        }
+    }
+    let want = ["IIM", "kNN", "kNNE", "SVD", "ILLS", "LOESS", "ERACER"];
+    assert_eq!(refused, want);
 }
 
 #[test]
