@@ -1,5 +1,5 @@
 //! Small sampling helpers on top of `rand` (the workspace avoids a
-//! `rand_distr` dependency; see DESIGN.md).
+//! `rand_distr` dependency: `vendor/` stands in for `rand` alone).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -21,8 +21,8 @@
 //!   classification F1 (MAM, HEP real-missing workloads).
 //! - **fig4..fig13** — the paper's sweeps (|F|, n, cluster size, k,
 //!   fixed-vs-adaptive ℓ, scalability, stepping).
-//! - **ablation** — candidate-weighting and learning-policy isolation
-//!   (DESIGN.md §2), not a paper artifact.
+//! - **ablation** — candidate-weighting and learning-policy isolation,
+//!   not a paper artifact.
 //! - **profiles** — measured (R²_S, R²_H) of every generated dataset next
 //!   to the paper's published values: the calibration evidence.
 
@@ -444,7 +444,7 @@ fn lineup_cell(name: &str, cell: String) -> String {
     cell
 }
 
-/// Ablation on IIM's design choices (DESIGN.md §2): candidate aggregation
+/// Ablation on IIM's design choices: candidate aggregation
 /// (mutual vote vs uniform vs inverse-distance) and learning policy
 /// (adaptive vs best/worst fixed ℓ), across the two headline regimes.
 fn ablation(args: Args) {

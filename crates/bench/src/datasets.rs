@@ -48,8 +48,8 @@ impl PaperData {
         }
     }
 
-    /// Harness-default tuple count (paper's except SN: 100k → 20k; note in
-    /// EXPERIMENTS.md; override with `--n`).
+    /// Harness-default tuple count: the paper's, except SN, which runs at
+    /// 20k of the paper's 100k. Override with `--n`.
     pub fn default_n(&self) -> usize {
         match self {
             PaperData::Asf => 1500,

@@ -15,9 +15,9 @@
 //!   ([`diff`]) is the regression gate over any two such files.
 //!   Committed spec presets live under `crates/bench/specs/`.
 //!
-//! Two bespoke executors measure what a generic spec cannot — `serving`
-//! (index-backed vs brute serving over an (n, m) grid) and `parallel`
-//! (1 vs N workers) — and emit the same envelope. The daemon,
+//! One bespoke executor measures what a generic spec cannot — `serving`
+//! (index-backed vs brute serving over an (n, m) grid) — and emits the
+//! same envelope. The daemon,
 //! persistence and absorb paths are measured by the repository
 //! benchmark in `perfbench/`. Run everything in release:
 //!
@@ -40,9 +40,7 @@ pub mod spec;
 
 pub use args::Args;
 pub use datasets::PaperData;
-pub use harness::{
-    method_lineup, method_lineup_with, run_lineup, run_lineup_on, score_cell, MethodScore,
-};
+pub use harness::{method_lineup, method_lineup_with, run_lineup, score_cell, MethodScore};
 pub use report::Table;
 pub use result::{BenchResult, Cell, Machine, Metric};
 pub use spec::Spec;

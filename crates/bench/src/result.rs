@@ -1,7 +1,7 @@
 //! The one versioned, machine-tagged bench-result envelope.
 //!
 //! Every JSON file the bench surface emits — runner output, the bespoke
-//! `serving` and `parallel` executors, CI gate runs — uses this schema,
+//! `serving` executor, CI gate runs — uses this schema,
 //! so [`diff`](crate::diff) can compare any two result files regardless
 //! of which experiment produced them.
 //!
@@ -44,8 +44,8 @@
 //! # Machine tags
 //!
 //! `available_cores` is detected, never asserted: a result produced on a
-//! 1-core CI box says so, which is why the committed BENCH_parallel
-//! speedups of ≈1× are honest rather than wrong. `rustc` and `git_commit`
+//! 1-core CI box says so, so thread-scaling speedups of ≈1× there read as
+//! the box's limit rather than a regression. `rustc` and `git_commit`
 //! are best-effort (running the tools at capture time) and degrade to
 //! `"unknown"` off-repo.
 //!
@@ -630,11 +630,7 @@ mod tests {
             assert_eq!(r.schema_version, 1, "{}", path.display());
             names.push(path.file_name().unwrap().to_string_lossy().into_owned());
         }
-        let committed = [
-            "BASELINE_ci_quick.json",
-            "BENCH_parallel.json",
-            "BENCH_serving.json",
-        ];
+        let committed = ["BASELINE_ci_quick.json", "BENCH_serving.json"];
         for name in committed {
             assert!(names.contains(&name.to_string()), "{name} not found");
         }

@@ -8,7 +8,7 @@
 //! complete neighbors' values match the truth) and **R²_H** (heterogeneity
 //! — how well one global regression matches the truth). Method rankings in
 //! Tables V–VI are explained entirely through those two properties, so the
-//! substitution strategy (DESIGN.md) is: generate data *calibrated on the
+//! substitution strategy is: generate data *calibrated on the
 //! published (R²_S, R²_H) pair* with the published shape (n, m), rather
 //! than ship third-party data files.
 //!

@@ -1,6 +1,6 @@
 //! The nine named dataset analogs (Table IV), calibrated on the paper's
 //! published (R²_S, R²_H) coefficients. See the module docs of
-//! [`crate`] and the substitution table in DESIGN.md.
+//! [`crate`] for why analogs stand in for the paper's data files.
 //!
 //! Published profiles (Table V, §VI-A1):
 //!
@@ -17,8 +17,9 @@
 //! | HEP   | 200  | 19| —    | —    | real missing, no truth |
 //!
 //! Calibration is asserted by the workspace integration tests
-//! (`tests/datagen_profiles.rs`) within tolerance bands; EXPERIMENTS.md
-//! reports the measured coefficients next to the paper's.
+//! (`tests/datagen_profiles.rs`) within tolerance bands; `paper profiles`
+//! (the `iim-bench` `paper` binary, README "Experiments") prints the
+//! measured coefficients next to the paper's.
 
 use crate::manifold::{latent_manifold, ManifoldSpec};
 use crate::sampling::normal;

@@ -1,5 +1,5 @@
-//! Seeded sampling helpers (Box–Muller normals; no `rand_distr`
-//! dependency — see DESIGN.md).
+//! Seeded sampling helpers (Box–Muller normals; the workspace takes no
+//! `rand_distr` dependency).
 
 use rand::Rng;
 

@@ -24,7 +24,9 @@
 //!   independent of how many rows have been absorbed.
 //!
 //! Everything is `f64`; the workspace deliberately avoids external linear
-//! algebra crates (see DESIGN.md).
+//! algebra crates: its only third-party code is the offline stand-ins for
+//! `rand`, `proptest` and `criterion` under `vendor/` (README "Workspace
+//! layout").
 
 pub mod eigen;
 pub mod gram;

@@ -32,12 +32,16 @@
 //! rejecting them under the very load they are meant to relieve would be
 //! self-defeating.
 //!
-//! **Failure**: a panic inside the model is caught, answered as
-//! [`SubmitRejected::Shutdown`], and marks the handle dead, so every
-//! later request gets the same answer (a `503`) instead of a half-updated
-//! model. [`Batcher::shutdown`] refuses new work and flushes buffered
-//! checkpoint rows before it returns.
+//! **Failure**: a panic inside the model is caught. Under the read guard
+//! it fails only its own request ([`SubmitRejected::Panicked`], a `500`):
+//! a read changes nothing a later request could see, and no model holds
+//! interior mutability beyond thread-local scratch. Under the write guard
+//! (learn, swap) the model may be half-updated, so the panic answers
+//! [`SubmitRejected::Shutdown`] and marks the handle dead: every later
+//! request gets the same answer (a `503`). [`Batcher::shutdown`] refuses
+//! new work and flushes buffered checkpoint rows before it returns.
 
+use crate::registry::{ModelInfo, RegistryError};
 use iim_data::{FittedImputer, ImputeError, RowOpt};
 use iim_exec::Pool;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -45,25 +49,25 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, PoisonError, RwLock};
 
-/// One query row as parsed from the wire.
-pub type QueryRow = Vec<Option<f64>>;
-
 /// Default cap on admitted, unanswered requests (see
 /// [`Batcher::set_max_queue`]). Each one is a request's worth of rows; at
 /// serving throughput a backlog this deep already means seconds of
 /// latency, so a higher cap only converts overload into timeouts.
 pub const DEFAULT_MAX_QUEUE: usize = 1024;
 
-/// Why a request was refused without running.
+/// Why a request got no answer from the model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SubmitRejected {
-    /// The batcher is shut down, or its model panicked; no future request
-    /// will succeed.
+    /// The batcher is shut down, or its model panicked under the write
+    /// guard; no future request will succeed.
     Shutdown,
     /// [`Batcher::max_queue`] requests are already admitted; the caller
     /// should shed the request (`503` + `Retry-After`) and let the client
     /// retry.
     Overloaded,
+    /// The model panicked serving this read. Nothing changed, so the
+    /// batcher keeps serving other requests.
+    Panicked,
 }
 
 /// A request's query rows in one flat buffer: `rows × arity` cells in row
@@ -204,8 +208,8 @@ impl CheckpointState {
 pub(crate) struct Served {
     pub(crate) model: Box<dyn FittedImputer>,
     checkpoint: Option<CheckpointState>,
-    /// The version's training column names (empty: unchecked). Registry
-    /// tenants check query headers against it under the same guard that
+    /// The version's training column names (empty: unchecked). The
+    /// daemon checks query headers against it under the same guard that
     /// serves them, so a header is always checked against the version
     /// that answers.
     pub(crate) schema: Arc<[String]>,
@@ -214,13 +218,20 @@ pub(crate) struct Served {
 impl Served {
     /// `impute_one` per row, in row order; fans out on `pool` from its
     /// serial cutoff up.
-    pub(crate) fn impute<'r>(
-        &self,
-        pool: &Pool,
-        n: usize,
-        row: impl Fn(usize) -> &'r RowOpt + Sync,
-    ) -> Vec<RowResult> {
-        pool.parallel_map_indexed(n, |i| self.model.impute_one(row(i)))
+    fn impute(&self, pool: &Pool, rows: &QueryBlock) -> Vec<RowResult> {
+        pool.parallel_map_indexed(rows.len(), |i| self.model.impute_one(rows.row(i)))
+    }
+
+    /// Rejects a query `header` that differs from a non-empty schema:
+    /// imputing it would silently transpose features.
+    fn check_schema(&self, header: &[String]) -> Result<(), RegistryError> {
+        if !self.schema.is_empty() && *header != *self.schema {
+            return Err(RegistryError::SchemaMismatch {
+                query: header.to_vec(),
+                model: self.schema.to_vec(),
+            });
+        }
+        Ok(())
     }
 
     /// Absorbs `rows` in order, buffering each for the checkpoint.
@@ -284,10 +295,14 @@ pub struct Batcher {
     /// Admission cap (see [`Batcher::set_max_queue`]); `0` = unbounded.
     max_queue: AtomicUsize,
     /// New requests are refused: set by [`Batcher::shutdown`] and by a
-    /// panicking model.
+    /// panic under the write guard.
     closed: AtomicBool,
-    /// The model panicked: admitted requests are refused too.
+    /// The model panicked under the write guard: admitted requests are
+    /// refused too.
     dead: AtomicBool,
+    /// Torn-tail recoveries observed loading the served snapshot (see
+    /// [`Batcher::with_recovered`]).
+    recovered: usize,
 }
 
 /// One admitted request; dropping it answers the request for the cap.
@@ -325,16 +340,39 @@ impl Batcher {
             max_queue: AtomicUsize::new(DEFAULT_MAX_QUEUE),
             closed: AtomicBool::new(false),
             dead: AtomicBool::new(false),
+            recovered: 0,
         })
     }
 
-    /// Sets the column names registry requests are checked against.
-    pub(crate) fn with_schema(mut self, schema: Arc<[String]>) -> Self {
+    /// Sets the training column names (e.g. the snapshot's
+    /// `SnapshotInfo::schema`) that the daemon checks query headers
+    /// against. Empty (the default): only arity is checked.
+    pub fn with_schema(mut self, schema: Arc<[String]>) -> Self {
         self.served
             .get_mut()
             .unwrap_or_else(PoisonError::into_inner)
             .schema = schema;
         self
+    }
+
+    /// Records the torn-tail recoveries seen loading the served snapshot
+    /// (0 or 1; see `iim_persist::SnapshotInfo::recovered_at`), reported
+    /// as `GET /info`'s `"recovered"` so operators see that a crash was
+    /// survived.
+    pub fn with_recovered(mut self, recovered: usize) -> Self {
+        self.recovered = recovered;
+        self
+    }
+
+    /// See [`Batcher::with_recovered`].
+    pub(crate) fn recovered(&self) -> usize {
+        self.recovered
+    }
+
+    /// Worker threads a request of many rows fans out on (resolved: never
+    /// `0`).
+    pub(crate) fn threads(&self) -> usize {
+        self.pool.threads()
     }
 
     /// Reads the served state, tolerating poison: metadata stays readable
@@ -365,9 +403,17 @@ impl Batcher {
         self.peek(|s| s.model.absorbed())
     }
 
-    /// The served version's column names (empty: unchecked).
-    pub(crate) fn schema(&self) -> Arc<[String]> {
-        self.peek(|s| Arc::clone(&s.schema))
+    /// The served version's registry card, named `name`.
+    pub(crate) fn card(&self, name: &str) -> ModelInfo {
+        self.peek(|s| ModelInfo {
+            name: name.to_string(),
+            method: s.model.name().to_string(),
+            snapshot_version: iim_persist::FORMAT_VERSION,
+            resident: true,
+            can_absorb: s.model.can_absorb(),
+            absorbed: s.model.absorbed(),
+            schema: s.schema.to_vec(),
+        })
     }
 
     /// The admission cap: requests beyond this many admitted and
@@ -397,28 +443,27 @@ impl Batcher {
         Ok(permit)
     }
 
-    /// Runs `f` once the guard is held. A panic in `f` marks the handle
-    /// dead: this request and every later one answer `Shutdown`.
-    fn guarded<R>(&self, f: impl FnOnce() -> R) -> Result<R, SubmitRejected> {
+    /// Refuses a request once the model panicked under the write guard.
+    fn live(&self) -> Result<(), SubmitRejected> {
         if self.dead.load(Ordering::SeqCst) {
             return Err(SubmitRejected::Shutdown);
         }
-        catch_unwind(AssertUnwindSafe(f)).map_err(|_| {
-            self.dead.store(true, Ordering::SeqCst);
-            self.closed.store(true, Ordering::SeqCst);
-            SubmitRejected::Shutdown
-        })
+        Ok(())
     }
 
-    /// Admits a request and runs `f` under the read guard.
-    pub(crate) fn read<R>(&self, f: impl FnOnce(&Served, &Pool) -> R) -> Result<R, SubmitRejected> {
+    /// Admits a request and runs `f` under the read guard. A panic in `f`
+    /// fails this request alone with [`SubmitRejected::Panicked`].
+    fn read<R>(&self, f: impl FnOnce(&Served, &Pool) -> R) -> Result<R, SubmitRejected> {
         let _permit = self.admit(true)?;
         let served = self.served.read().map_err(|_| SubmitRejected::Shutdown)?;
-        self.guarded(|| f(&served, &self.pool))
+        self.live()?;
+        catch_unwind(AssertUnwindSafe(|| f(&served, &self.pool)))
+            .map_err(|_| SubmitRejected::Panicked)
     }
 
     /// Admits a request and runs `f` under the write guard; `capped` as
-    /// in [`Batcher::admit`].
+    /// in [`Batcher::admit`]. A panic in `f` marks the handle dead: this
+    /// request and every later one answer `Shutdown`.
     pub(crate) fn write<R>(
         &self,
         capped: bool,
@@ -426,21 +471,34 @@ impl Batcher {
     ) -> Result<R, SubmitRejected> {
         let _permit = self.admit(capped)?;
         let mut served = self.served.write().map_err(|_| SubmitRejected::Shutdown)?;
-        self.guarded(|| f(&mut served))
+        self.live()?;
+        catch_unwind(AssertUnwindSafe(|| f(&mut served))).map_err(|_| {
+            self.dead.store(true, Ordering::SeqCst);
+            self.closed.store(true, Ordering::SeqCst);
+            SubmitRejected::Shutdown
+        })
     }
 
-    /// Imputes `rows` and returns their results, in order.
+    /// Imputes the block's rows and returns their results, in order. A
+    /// row imputes to the same bits alone or beside others.
     ///
-    /// Fails only when the batcher is shut down or at its admission cap
-    /// ([`SubmitRejected`]).
-    pub fn impute(&self, rows: Vec<QueryRow>) -> Result<Vec<RowResult>, SubmitRejected> {
-        self.read(|s, pool| s.impute(pool, rows.len(), |i| rows[i].as_slice()))
+    /// Fails only when the batcher is shut down, at its admission cap, or
+    /// its model panicked on this request ([`SubmitRejected`]).
+    pub fn impute_block(&self, rows: QueryBlock) -> Result<Vec<RowResult>, SubmitRejected> {
+        self.read(|s, pool| s.impute(pool, &rows))
     }
 
-    /// [`Batcher::impute`] for a flat [`QueryBlock`] — the daemon's wire
-    /// path. Answers are bitwise those of the per-row form.
-    pub fn impute_block(&self, rows: QueryBlock) -> Result<Vec<RowResult>, SubmitRejected> {
-        self.read(|s, pool| s.impute(pool, rows.len(), |i| rows.row(i)))
+    /// [`Batcher::impute_block`] for rows sent under `header`, which is
+    /// checked against the served version's schema under the same guard.
+    pub(crate) fn impute_checked(
+        &self,
+        header: &[String],
+        rows: QueryBlock,
+    ) -> Result<Vec<RowResult>, RegistryError> {
+        self.read(|s, pool| {
+            s.check_schema(header)?;
+            Ok(s.impute(pool, &rows))
+        })?
     }
 
     /// Absorbs complete tuples in row order, serialized against every
@@ -450,6 +508,19 @@ impl Batcher {
     /// ([`SubmitRejected`]).
     pub fn learn(&self, rows: Vec<Vec<f64>>) -> Result<LearnReply, SubmitRejected> {
         self.write(true, |s| s.learn(&rows))
+    }
+
+    /// [`Batcher::learn`] for rows sent under `header`, checked as in
+    /// [`Batcher::impute_checked`].
+    pub(crate) fn learn_checked(
+        &self,
+        header: &[String],
+        rows: Vec<Vec<f64>>,
+    ) -> Result<LearnReply, RegistryError> {
+        self.write(true, |s| {
+            s.check_schema(header)?;
+            Ok(s.learn(&rows))
+        })?
     }
 
     /// Atomically replaces the served model (and optionally its snapshot
@@ -516,6 +587,18 @@ mod tests {
         Batcher::start(fitted(), threads, None).unwrap()
     }
 
+    type QueryRow = Vec<Option<f64>>;
+
+    /// The rows as one flat block, the daemon's wire shape.
+    fn block(rows: &[QueryRow]) -> QueryBlock {
+        let arity = rows.first().map_or(0, Vec::len);
+        let mut block = QueryBlock::with_capacity(arity, rows.len());
+        for row in rows {
+            block.cells_mut().extend_from_slice(row);
+        }
+        block
+    }
+
     #[test]
     fn batched_results_match_direct_serving() {
         // Deterministic fit: a second fit of the same config is the same
@@ -523,7 +606,7 @@ mod tests {
         let reference = fitted();
         let batcher = start(2);
         let rows: Vec<QueryRow> = (0..40).map(|i| vec![Some(i as f64 * 0.2), None]).collect();
-        let got = batcher.impute(rows.clone()).unwrap();
+        let got = batcher.impute_block(block(&rows)).unwrap();
         assert_eq!(got.len(), rows.len());
         for (row, out) in rows.iter().zip(&got) {
             let direct = reference.impute_one(row).unwrap();
@@ -545,7 +628,7 @@ mod tests {
                     let rows: Vec<QueryRow> = (0..5)
                         .map(|i| vec![Some((t * 5 + i) as f64 * 0.1), None])
                         .collect();
-                    let got = batcher.impute(rows).unwrap();
+                    let got = batcher.impute_block(block(&rows)).unwrap();
                     assert_eq!(got.len(), 5);
                     for r in got {
                         assert!(r.unwrap()[1].is_finite());
@@ -557,21 +640,20 @@ mod tests {
 
     #[test]
     fn block_submission_matches_per_row_submission_bitwise() {
-        // The daemon's flat wire path and the library's per-row path must
-        // be indistinguishable in the answers — same kernel, same order.
+        // A row imputes to the same bits in a block of many as alone in a
+        // block of one — same kernel, same order.
         let batcher = start(2);
         let rows: Vec<QueryRow> = (0..10).map(|i| vec![Some(i as f64 * 0.3), None]).collect();
-        let list = batcher.impute(rows.clone()).unwrap();
-        let mut block = QueryBlock::with_capacity(2, rows.len());
-        for r in &rows {
-            block.cells_mut().extend(r.iter().copied());
-        }
-        assert_eq!(block.len(), rows.len());
-        assert_eq!(block.arity(), 2);
-        let got = batcher.impute_block(block).unwrap();
-        assert_eq!(got.len(), list.len());
-        for (a, b) in list.iter().zip(&got) {
-            let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
+        let all = block(&rows);
+        assert_eq!(all.len(), rows.len());
+        assert_eq!(all.arity(), 2);
+        let got = batcher.impute_block(all).unwrap();
+        assert_eq!(got.len(), rows.len());
+        for (row, b) in rows.iter().zip(&got) {
+            let a = batcher
+                .impute_block(block(std::slice::from_ref(row)))
+                .unwrap();
+            let (a, b) = (a[0].as_ref().unwrap(), b.as_ref().unwrap());
             for (x, y) in a.iter().zip(b) {
                 assert_eq!(x.to_bits(), y.to_bits());
             }
@@ -580,15 +662,23 @@ mod tests {
 
     #[test]
     fn per_row_errors_do_not_poison_the_batch() {
-        let batcher = start(1);
+        // Fitted for A2 only: a row missing A1 has no model to serve it.
+        let (rel, _) = iim_data::paper_fig1();
+        let model = PerAttributeImputer::new(iim_core::Iim::new(iim_core::IimConfig {
+            k: 3,
+            ..Default::default()
+        }))
+        .fit_targets(&rel, &[1])
+        .unwrap();
+        let batcher = Batcher::start(model, 1, None).unwrap();
         let rows: Vec<QueryRow> = vec![
             vec![Some(1.0), None],
-            vec![Some(1.0)], // arity mismatch
+            vec![None, Some(2.0)], // no model for A1
             vec![Some(2.0), None],
         ];
-        let got = batcher.impute(rows).unwrap();
+        let got = batcher.impute_block(block(&rows)).unwrap();
         assert!(got[0].is_ok());
-        assert!(matches!(got[1], Err(ImputeError::ArityMismatch { .. })));
+        assert!(matches!(got[1], Err(ImputeError::NotFitted { .. })));
         assert!(got[2].is_ok());
     }
 
@@ -598,7 +688,7 @@ mod tests {
         assert!(batcher.can_absorb());
         assert_eq!(batcher.absorbed(), 0);
         let q: Vec<QueryRow> = vec![vec![Some(4.5), None]];
-        let before = batcher.impute(q.clone()).unwrap()[0].clone().unwrap();
+        let before = batcher.impute_block(block(&q)).unwrap()[0].clone().unwrap();
 
         let reply = batcher.learn(vec![vec![4.6, 2.0], vec![5.4, 1.5]]).unwrap();
         assert_eq!(reply, Ok(2));
@@ -608,7 +698,7 @@ mod tests {
         let mut reference = fitted();
         reference.absorb(&[4.6, 2.0]).unwrap();
         reference.absorb(&[5.4, 1.5]).unwrap();
-        let after = batcher.impute(q.clone()).unwrap()[0].clone().unwrap();
+        let after = batcher.impute_block(block(&q)).unwrap()[0].clone().unwrap();
         let direct = reference.impute_one(&q[0]).unwrap();
         assert_eq!(after[1].to_bits(), direct[1].to_bits());
         assert_ne!(before[1].to_bits(), after[1].to_bits());
@@ -668,25 +758,87 @@ mod tests {
             fn impute_one(&self, _row: &iim_data::RowOpt) -> RowResult {
                 panic!("model bug");
             }
+            fn absorb(&mut self, _row: &[f64]) -> Result<(), ImputeError> {
+                panic!("model bug");
+            }
         }
         let batcher = Batcher::start(Box::new(Panicker), 1, None).unwrap();
-        // The panicking batch itself and every later request must resolve
-        // (to an error → a 503 upstream), never hang.
+        // Every request must resolve (to an error upstream), never hang.
+        // A read-side panic fails only its own request: the next read
+        // runs again.
         assert_eq!(
-            batcher.impute(vec![vec![None]]),
+            batcher.impute_block(block(&[vec![None]])),
+            Err(SubmitRejected::Panicked)
+        );
+        assert_eq!(
+            batcher.impute_block(block(&[vec![None]])),
+            Err(SubmitRejected::Panicked)
+        );
+        // A write-side panic may leave the model half-updated: it poisons
+        // the batcher, and every later request is refused.
+        assert_eq!(
+            batcher.learn(vec![vec![1.0]]),
             Err(SubmitRejected::Shutdown)
         );
         assert_eq!(
-            batcher.impute(vec![vec![None]]),
+            batcher.impute_block(block(&[vec![None]])),
             Err(SubmitRejected::Shutdown)
         );
+    }
+
+    /// Serves `inner`, except that a query whose first cell is `bad`
+    /// panics.
+    struct PanicsOn {
+        inner: Box<dyn FittedImputer>,
+        bad: f64,
+    }
+
+    impl FittedImputer for PanicsOn {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+        fn arity(&self) -> usize {
+            self.inner.arity()
+        }
+        fn impute_one(&self, row: &iim_data::RowOpt) -> RowResult {
+            assert_ne!(row[0], Some(self.bad), "model bug");
+            self.inner.impute_one(row)
+        }
+    }
+
+    #[test]
+    fn a_read_side_panic_fails_only_its_own_request() {
+        let reference = fitted().impute_one(&[Some(4.5), None]).unwrap();
+        let batcher = Batcher::start(
+            Box::new(PanicsOn {
+                inner: fitted(),
+                bad: 13.0,
+            }),
+            2,
+            None,
+        )
+        .unwrap();
+        // Below and above the serial cutoff: inline and on the pool.
+        for n in [1, iim_exec::DEFAULT_SERIAL_CUTOFF] {
+            let mut rows = vec![vec![Some(4.5), None]; n];
+            rows[n - 1] = vec![Some(13.0), None];
+            assert_eq!(
+                batcher.impute_block(block(&rows)).map(|_| ()),
+                Err(SubmitRejected::Panicked)
+            );
+            let got = batcher
+                .impute_block(block(&[vec![Some(4.5), None]]))
+                .unwrap();
+            let got = got[0].as_ref().unwrap();
+            assert_eq!(got[1].to_bits(), reference[1].to_bits());
+        }
     }
 
     #[test]
     fn swap_is_a_barrier_and_updates_metadata() {
         let batcher = start(2);
         let q: Vec<QueryRow> = vec![vec![Some(4.5), None]];
-        let before = batcher.impute(q.clone()).unwrap()[0].clone().unwrap();
+        let before = batcher.impute_block(block(&q)).unwrap()[0].clone().unwrap();
 
         // Swap in a model that has absorbed two extra tuples; requests
         // after the swap returns must serve the new model's bits.
@@ -698,7 +850,7 @@ mod tests {
         assert_eq!(batcher.absorbed(), 2);
         assert_eq!(batcher.model_name(), "IIM");
 
-        let after = batcher.impute(q).unwrap()[0].clone().unwrap();
+        let after = batcher.impute_block(block(&q)).unwrap()[0].clone().unwrap();
         assert_eq!(after[1].to_bits(), expected[1].to_bits());
         assert_ne!(before[1].to_bits(), after[1].to_bits());
     }
@@ -707,7 +859,7 @@ mod tests {
     fn swap_rename_failure_keeps_the_old_model() {
         let batcher = start(1);
         let q: Vec<QueryRow> = vec![vec![Some(4.5), None]];
-        let before = batcher.impute(q.clone()).unwrap()[0].clone().unwrap();
+        let before = batcher.impute_block(block(&q)).unwrap()[0].clone().unwrap();
 
         let mut next = fitted();
         next.absorb(&[4.6, 2.0]).unwrap();
@@ -717,7 +869,7 @@ mod tests {
         assert!(reply.is_err(), "rename of a missing tmp must fail the swap");
         assert_eq!(batcher.absorbed(), 0);
 
-        let after = batcher.impute(q).unwrap()[0].clone().unwrap();
+        let after = batcher.impute_block(block(&q)).unwrap()[0].clone().unwrap();
         assert_eq!(before[1].to_bits(), after[1].to_bits());
     }
 
@@ -746,7 +898,7 @@ mod tests {
         let batcher = start(1);
         batcher.shutdown();
         assert_eq!(
-            batcher.impute(vec![vec![Some(1.0), None]]),
+            batcher.impute_block(block(&[vec![Some(1.0), None]])),
             Err(SubmitRejected::Shutdown)
         );
         assert_eq!(
@@ -806,11 +958,11 @@ mod tests {
         batcher.set_max_queue(2);
         std::thread::scope(|scope| {
             let admitted: Vec<_> = (0..2)
-                .map(|_| scope.spawn(|| batcher.impute(vec![vec![None]])))
+                .map(|_| scope.spawn(|| batcher.impute_block(block(&[vec![None]]))))
                 .collect();
             gate.wait_entered(2);
             assert_eq!(
-                batcher.impute(vec![vec![None]]).map(|_| ()),
+                batcher.impute_block(block(&[vec![None]])).map(|_| ()),
                 Err(SubmitRejected::Overloaded)
             );
             assert_eq!(
@@ -830,7 +982,7 @@ mod tests {
         let gate = Arc::new(Gate::default());
         let batcher = Batcher::start(Box::new(Held(Arc::clone(&gate))), 1, None).unwrap();
         std::thread::scope(|scope| {
-            let running = scope.spawn(|| batcher.impute(vec![vec![None]]));
+            let running = scope.spawn(|| batcher.impute_block(block(&[vec![None]])));
             gate.wait_entered(1);
             let closer = scope.spawn(|| batcher.shutdown());
             while !batcher.closed.load(Ordering::SeqCst) {
@@ -839,7 +991,7 @@ mod tests {
             // New work is refused at once; shutdown itself waits for the
             // write guard, which the running read still holds.
             assert_eq!(
-                batcher.impute(vec![vec![None]]),
+                batcher.impute_block(block(&[vec![None]])),
                 Err(SubmitRejected::Shutdown)
             );
             assert!(!closer.is_finished());

@@ -28,12 +28,21 @@
 //! snapshot as delta records, so a restart replays them instead of
 //! relearning.
 //!
-//! **Multi-tenant registry mode** ([`registry::Registry`], `iim serve
-//! --models-dir DIR`) serves many named models from one daemon:
-//! `POST /models/{name}/impute`, a `PUT /models/{name}` admin route that
-//! stages a new snapshot, and LRU eviction of cold models under a
-//! resident cap. Hot swap replaces the model inside the same write
-//! section ([`Batcher::swap`]).
+//! # Tenants and routes
+//!
+//! Every model a daemon serves is a **tenant** with its own routes:
+//! `POST /models/{name}/impute`, `POST /models/{name}/learn` and
+//! `GET /models/{name}/info`. Single-model mode (`iim serve MODEL.iim`,
+//! [`Server::bind`]) serves one tenant, named `default`. **Multi-tenant
+//! registry mode** ([`registry::Registry`], `iim serve --models-dir DIR`,
+//! [`Server::bind_registry`]) serves many named models from one daemon,
+//! adds the admin routes `GET /models` and
+//! `PUT`/`DELETE /models/{name}` (stage a new snapshot, retire one), and
+//! LRU-evicts cold models under a resident cap. Hot swap replaces the
+//! model inside the same write section ([`Batcher::swap`]). In both modes
+//! `POST /impute` and `POST /learn` are the `default` tenant's routes, and
+//! `GET /healthz` and `GET /info` describe the daemon. See [`server`] for
+//! the route table and error mapping.
 //!
 //! # One version per response (atomicity contract)
 //!
@@ -53,19 +62,21 @@
 //!   Requests arriving after shutdown began get a clean `503`.
 //!
 //! ```no_run
-//! use iim_serve::{ServeConfig, Server};
+//! use iim_serve::{Batcher, ServeConfig, Server};
 //!
 //! # fn model() -> Box<dyn iim_data::FittedImputer> { unimplemented!() }
-//! let server = Server::bind(model(), &ServeConfig {
+//! // The `default` tenant: 4 pool threads, no checkpoint, the default
+//! // admission cap.
+//! let tenant = Batcher::start(model(), 4, None).unwrap();
+//! let server = Server::bind(tenant, &ServeConfig {
 //!     addr: "127.0.0.1:7878".into(),
-//!     threads: 4,
 //!     ..ServeConfig::default()
 //! }).unwrap();
 //! println!("listening on {}", server.local_addr().unwrap());
-//! server.run(); // blocks; curl -sf --data-binary @queries.csv http://127.0.0.1:7878/impute
+//! // Blocks. POST /impute and POST /models/default/impute answer alike:
+//! // curl -sf --data-binary @queries.csv http://127.0.0.1:7878/impute
+//! server.run();
 //! ```
-//!
-//! See [`server`] for the endpoint table and error mapping.
 
 pub mod batch;
 pub mod http;
@@ -85,6 +96,7 @@ mod tests {
     use iim_data::{FittedImputer, Imputer, PerAttributeImputer};
     use std::io::{Read, Write};
     use std::net::TcpStream;
+    use std::sync::Arc;
 
     fn fitted() -> Box<dyn FittedImputer> {
         let (rel, _) = iim_data::paper_fig1();
@@ -97,21 +109,27 @@ mod tests {
     }
 
     fn start() -> ServerHandle {
-        start_with_schema(Vec::new())
+        serve(Batcher::start(fitted(), 2, None).unwrap())
     }
 
     fn start_with_schema(schema: Vec<String>) -> ServerHandle {
-        let server = Server::bind(
-            fitted(),
-            &ServeConfig {
-                addr: "127.0.0.1:0".into(),
-                threads: 2,
-                schema,
-                ..ServeConfig::default()
-            },
-        )
-        .unwrap();
+        let tenant = Batcher::start(fitted(), 2, None)
+            .unwrap()
+            .with_schema(schema.into());
+        serve(tenant)
+    }
+
+    /// Serves `tenant` in single-model mode on an ephemeral port.
+    fn serve(tenant: Batcher) -> ServerHandle {
+        let server = Server::bind(tenant, &local()).unwrap();
         server.spawn().unwrap()
+    }
+
+    fn local() -> ServeConfig {
+        ServeConfig {
+            addr: "127.0.0.1:0".into(),
+            ..ServeConfig::default()
+        }
     }
 
     fn roundtrip(addr: std::net::SocketAddr, request: &str) -> String {
@@ -398,21 +416,12 @@ mod tests {
         let path = dir.join("model.iim");
         iim_persist::save_path(fitted().as_ref(), &path).unwrap();
         let snapshot = std::fs::read(&path).unwrap();
-        let server = Server::bind(
-            fitted(),
-            &ServeConfig {
-                addr: "127.0.0.1:0".into(),
-                threads: 2,
-                checkpoint: Some(CheckpointConfig {
-                    path: path.clone(),
-                    every: 1,
-                    truncate_to: None,
-                }),
-                ..ServeConfig::default()
-            },
-        )
-        .unwrap();
-        let handle = server.spawn().unwrap();
+        let checkpoint = CheckpointConfig {
+            path: path.clone(),
+            every: 1,
+            truncate_to: None,
+        };
+        let handle = serve(Batcher::start(fitted(), 2, Some(checkpoint)).unwrap());
         let addr = handle.addr();
 
         let before = post_impute(addr, "A1,A2\n4.5,?\n");
@@ -439,21 +448,12 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("model.iim");
         iim_persist::save_path(fitted().as_ref(), &path).unwrap();
-        let server = Server::bind(
-            fitted(),
-            &ServeConfig {
-                addr: "127.0.0.1:0".into(),
-                threads: 2,
-                checkpoint: Some(CheckpointConfig {
-                    path: path.clone(),
-                    every: 10,
-                    truncate_to: None,
-                }),
-                ..ServeConfig::default()
-            },
-        )
-        .unwrap();
-        let handle = server.spawn().unwrap();
+        let checkpoint = CheckpointConfig {
+            path: path.clone(),
+            every: 10,
+            truncate_to: None,
+        };
+        let handle = serve(Batcher::start(fitted(), 2, Some(checkpoint)).unwrap());
         let addr = handle.addr();
 
         let rows = [[4.6, 2.0], [5.4, 1.5], [0.4, 5.1]];
@@ -682,9 +682,7 @@ mod tests {
     }
 
     fn start_registry(tag: &str, max_resident: usize) -> (ServerHandle, std::path::PathBuf) {
-        let dir =
-            std::env::temp_dir().join(format!("iim-serve-registry-{tag}-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
+        let dir = registry_dir(tag);
         let registry = Registry::open(RegistryConfig {
             dir: dir.clone(),
             max_resident,
@@ -692,16 +690,16 @@ mod tests {
             ..Default::default()
         })
         .unwrap();
-        let server = Server::bind_registry(
-            registry,
-            &ServeConfig {
-                addr: "127.0.0.1:0".into(),
-                threads: 2,
-                ..ServeConfig::default()
-            },
-        )
-        .unwrap();
+        let server = Server::bind_registry(registry, &local()).unwrap();
         (server.spawn().unwrap(), dir)
+    }
+
+    /// A fresh, empty registry directory.
+    fn registry_dir(tag: &str) -> std::path::PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("iim-serve-registry-{tag}-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        dir
     }
 
     fn put(addr: std::net::SocketAddr, path: &str, body: &[u8]) -> String {
@@ -750,6 +748,19 @@ mod tests {
         let ghost = post(addr, "/models/ghost/impute", "A1,A2\n5.0,?\n");
         assert!(ghost.starts_with("HTTP/1.1 404"), "{ghost}");
         assert!(ghost.contains("\"error\":\"unknown_model\""), "{ghost}");
+        // /impute is the `default` tenant's route: unknown until staged,
+        // then byte-equal to /models/default/impute.
+        let alias = post_impute(addr, "A1,A2\n5.0,?\n");
+        assert!(alias.starts_with("HTTP/1.1 404"), "{alias}");
+        assert!(alias.contains("\"error\":\"unknown_model\""), "{alias}");
+        let staged = put(addr, "/models/default", &snapshot_k(3));
+        assert!(staged.starts_with("HTTP/1.1 200"), "{staged}");
+        let alias = post_impute(addr, "A1,A2\n5.0,?\n");
+        assert!(alias.starts_with("HTTP/1.1 200"), "{alias}");
+        assert_eq!(
+            alias,
+            post(addr, "/models/default/impute", "A1,A2\n5.0,?\n")
+        );
 
         // Stage two tenants and serve both; fills match direct serving.
         let staged = put(addr, "/models/alpha", &snapshot_k(3));
@@ -913,6 +924,114 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Single-model mode is the one-tenant case: the `default` tenant's
+    /// routes answer exactly as `/impute` and `/learn` do, and no other
+    /// tenant exists.
+    #[test]
+    fn single_mode_serves_the_default_tenant_routes() {
+        let handle = start_with_schema(vec!["A1".to_string(), "A2".to_string()]);
+        let addr = handle.addr();
+        let body = "A1,A2\n5.0,?\n2.0,\n";
+
+        let alias = post_impute(addr, body);
+        assert!(alias.starts_with("HTTP/1.1 200"), "{alias}");
+        assert_eq!(alias, post(addr, "/models/default/impute", body));
+
+        let learned = post(addr, "/models/default/learn", "A1,A2\n4.6,2.0\n");
+        assert!(learned.contains("\"total_absorbed\":1"), "{learned}");
+        let learned = post(addr, "/learn", "A1,A2\n5.4,1.5\n");
+        assert!(learned.contains("\"total_absorbed\":2"), "{learned}");
+
+        let card = roundtrip(addr, "GET /models/default/info HTTP/1.1\r\nHost: t\r\n\r\n");
+        assert!(card.starts_with("HTTP/1.1 200"), "{card}");
+        assert!(card.contains("\"name\":\"default\""), "{card}");
+        assert!(card.contains("\"absorbed\":2"), "{card}");
+        assert!(card.contains("\"schema\":[\"A1\",\"A2\"]"), "{card}");
+
+        let ghost = post(addr, "/models/ghost/impute", body);
+        assert!(ghost.starts_with("HTTP/1.1 404"), "{ghost}");
+        assert!(ghost.contains("\"error\":\"unknown_model\""), "{ghost}");
+        let wrong = roundtrip(
+            addr,
+            "GET /models/default/impute HTTP/1.1\r\nHost: t\r\n\r\n",
+        );
+        assert!(wrong.starts_with("HTTP/1.1 405"), "{wrong}");
+        assert!(wrong.contains("Allow: POST"), "{wrong}");
+
+        handle.shutdown();
+    }
+
+    #[test]
+    fn info_reports_the_limits_the_single_tenant_enforces() {
+        let tenant = Batcher::start(fitted(), 3, None).unwrap();
+        tenant.set_max_queue(5);
+        let handle = serve(tenant);
+        let info = roundtrip(handle.addr(), "GET /info HTTP/1.1\r\nHost: t\r\n\r\n");
+        assert!(info.contains("\"threads\":3"), "{info}");
+        assert!(info.contains("\"max_queue\":5"), "{info}");
+        handle.shutdown();
+    }
+
+    #[test]
+    fn info_reports_the_limits_registry_tenants_enforce() {
+        let dir = registry_dir("limits");
+        let registry = Registry::open(RegistryConfig {
+            dir: dir.clone(),
+            threads: 3,
+            max_queue: 5,
+            ..Default::default()
+        })
+        .unwrap();
+        let server = Server::bind_registry(Arc::clone(&registry), &local()).unwrap();
+        let handle = server.spawn().unwrap();
+        let addr = handle.addr();
+        assert!(put(addr, "/models/m", &snapshot_k(3)).starts_with("HTTP/1.1 200"));
+        assert!(post(addr, "/models/m/impute", "A1,A2\n5.0,?\n").starts_with("HTTP/1.1 200"));
+
+        let tenant = registry.tenant("m").unwrap();
+        assert_eq!((tenant.threads(), tenant.max_queue()), (3, 5));
+        let info = roundtrip(addr, "GET /info HTTP/1.1\r\nHost: t\r\n\r\n");
+        assert!(info.contains("\"threads\":3"), "{info}");
+        assert!(info.contains("\"max_queue\":5"), "{info}");
+
+        handle.shutdown();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Serves the paper-fig1 IIM model, except that a query whose `A1`
+    /// is 13 panics.
+    struct PanicsOn13(Box<dyn FittedImputer>);
+
+    impl FittedImputer for PanicsOn13 {
+        fn name(&self) -> &str {
+            self.0.name()
+        }
+        fn arity(&self) -> usize {
+            self.0.arity()
+        }
+        fn impute_one(&self, row: &iim_data::RowOpt) -> batch::RowResult {
+            assert_ne!(row[0], Some(13.0), "model bug");
+            self.0.impute_one(row)
+        }
+    }
+
+    #[test]
+    fn a_read_side_panic_answers_500_and_the_tenant_keeps_serving() {
+        let handle = serve(Batcher::start(Box::new(PanicsOn13(fitted())), 2, None).unwrap());
+        let addr = handle.addr();
+        let fill = fitted().impute_one(&[Some(4.5), None]).unwrap();
+        let reference = format!("A1,A2\n{}\n", iim_data::csv::format_row(&fill));
+
+        let bad = post_impute(addr, "A1,A2\n13,?\n");
+        assert!(bad.starts_with("HTTP/1.1 500"), "{bad}");
+        assert!(bad.contains("\"error\":\"internal\""), "{bad}");
+        let good = post_impute(addr, "A1,A2\n4.5,?\n");
+        assert!(good.starts_with("HTTP/1.1 200"), "{good}");
+        assert_eq!(good.split("\r\n\r\n").nth(1), Some(reference.as_str()));
+
+        handle.shutdown();
+    }
+
     #[test]
     fn graceful_shutdown_flag_round_trips() {
         assert!(!shutdown::requested());
@@ -928,16 +1047,7 @@ mod tests {
         let knn = PerAttributeImputer::new(iim_baselines::knn::Knn::new(3))
             .fit(&rel)
             .unwrap();
-        let server = Server::bind(
-            knn,
-            &ServeConfig {
-                addr: "127.0.0.1:0".into(),
-                threads: 1,
-                ..ServeConfig::default()
-            },
-        )
-        .unwrap();
-        let handle = server.spawn().unwrap();
+        let handle = serve(Batcher::start(knn, 1, None).unwrap());
         let addr = handle.addr();
 
         let info = roundtrip(addr, "GET /info HTTP/1.1\r\nHost: t\r\n\r\n");

@@ -2,11 +2,10 @@
 //! served by its own [`Batcher`] once touched.
 //!
 //! The filesystem is the source of truth: a model named `prices` is the
-//! file `<dir>/prices.iim` (an `iim-persist` snapshot, any supported
-//! format version). The registry keeps at most `max_resident` models live
-//! at once; a request for a cold model **activates** it transparently
-//! (read + validate-then-view load) and the least-recently-used tenant is
-//! evicted to make room.
+//! file `<dir>/prices.iim` (an `iim-persist` snapshot). The registry keeps
+//! at most `max_resident` models live at once; a request for a cold model
+//! **activates** it transparently (read + validate-then-view load) and the
+//! least-recently-used tenant is evicted to make room.
 //!
 //! # Consistency contract
 //!
@@ -37,8 +36,7 @@
 //! behind each other's compute.
 
 use crate::batch::{
-    Batcher, CheckpointConfig, LearnReply, QueryBlock, QueryRow, RowResult, SubmitRejected,
-    DEFAULT_MAX_QUEUE,
+    Batcher, CheckpointConfig, LearnReply, QueryBlock, RowResult, SubmitRejected, DEFAULT_MAX_QUEUE,
 };
 use iim_persist::PersistError;
 use std::collections::HashMap;
@@ -95,11 +93,14 @@ pub enum RegistryError {
         /// Column names the model was trained on.
         model: Vec<String>,
     },
-    /// The tenant is shut down, or its model panicked.
+    /// The tenant is shut down, or its model panicked under the write
+    /// guard.
     Unavailable,
     /// The tenant is at its admission cap; the request was shed without
     /// running. Retrying is always safe.
     Overloaded,
+    /// The model panicked serving this read; the tenant keeps serving.
+    Panicked,
     /// A staged swap could not be applied; the old model keeps serving.
     StageFailed(String),
 }
@@ -110,7 +111,7 @@ impl std::fmt::Display for RegistryError {
             RegistryError::BadName(n) => {
                 write!(f, "bad model name {n:?}: use 1-64 of [A-Za-z0-9_-]")
             }
-            RegistryError::UnknownModel(n) => write!(f, "no model named {n:?} in the registry"),
+            RegistryError::UnknownModel(n) => write!(f, "no model named {n:?} is served here"),
             RegistryError::Load(e) => write!(f, "snapshot rejected: {e}"),
             RegistryError::Io(e) => write!(f, "registry io error: {e}"),
             RegistryError::SchemaMismatch { query, model } => write!(
@@ -119,6 +120,7 @@ impl std::fmt::Display for RegistryError {
             ),
             RegistryError::Unavailable => write!(f, "model backend unavailable"),
             RegistryError::Overloaded => write!(f, "model at its request cap; retry shortly"),
+            RegistryError::Panicked => write!(f, "the model panicked serving this request"),
             RegistryError::StageFailed(why) => write!(f, "stage failed: {why}"),
         }
     }
@@ -135,6 +137,7 @@ impl From<SubmitRejected> for RegistryError {
         match e {
             SubmitRejected::Overloaded => RegistryError::Overloaded,
             SubmitRejected::Shutdown => RegistryError::Unavailable,
+            SubmitRejected::Panicked => RegistryError::Panicked,
         }
     }
 }
@@ -183,7 +186,6 @@ pub struct StageOutcome {
 
 struct Tenant {
     batcher: Arc<Batcher>,
-    version: u16,
     last_used: u64,
 }
 
@@ -197,6 +199,7 @@ struct Inner {
 pub struct Registry {
     dir: PathBuf,
     max_resident: usize,
+    /// Each tenant's pool threads, resolved (never `0`).
     threads: usize,
     max_queue: usize,
     /// Torn-tail snapshot recoveries observed across activations (the
@@ -228,7 +231,7 @@ impl Registry {
         Ok(Arc::new(Self {
             dir: cfg.dir,
             max_resident: cfg.max_resident.max(1),
-            threads: cfg.threads,
+            threads: iim_exec::Pool::new(cfg.threads).threads(),
             max_queue: cfg.max_queue,
             recovered: AtomicUsize::new(0),
             inner: Mutex::new(Inner {
@@ -246,6 +249,16 @@ impl Registry {
     /// The resident cap.
     pub fn max_resident(&self) -> usize {
         self.max_resident
+    }
+
+    /// Worker threads each tenant's pool runs (resolved: never `0`).
+    pub(crate) fn threads(&self) -> usize {
+        self.threads
+    }
+
+    /// Each tenant's admission cap (`0` = unbounded).
+    pub(crate) fn max_queue(&self) -> usize {
+        self.max_queue
     }
 
     /// Torn-tail snapshot recoveries observed while activating models
@@ -302,17 +315,9 @@ impl Registry {
         let resident = lock_inner(&self.inner)
             .resident
             .get(name)
-            .map(|t| (Arc::clone(&t.batcher), t.version));
-        if let Some((batcher, version)) = resident {
-            return Ok(ModelInfo {
-                name: name.to_string(),
-                method: batcher.model_name(),
-                snapshot_version: version,
-                resident: true,
-                can_absorb: batcher.can_absorb(),
-                absorbed: batcher.absorbed(),
-                schema: batcher.schema().to_vec(),
-            });
+            .map(|t| Arc::clone(&t.batcher));
+        if let Some(batcher) = resident {
+            return Ok(batcher.card(name));
         }
         let bytes = read_model(&path, name)?;
         let info = iim_persist::inspect(&bytes).map_err(RegistryError::Load)?;
@@ -333,7 +338,7 @@ impl Registry {
 
     /// The (activated, LRU-bumped) tenant's handle, cloned under the
     /// registry lock. Evicted tenants are dropped outside it.
-    fn tenant(&self, name: &str) -> Result<Arc<Batcher>, RegistryError> {
+    pub(crate) fn tenant(&self, name: &str) -> Result<Arc<Batcher>, RegistryError> {
         let path = self.path_for(name)?;
         let mut evicted: Vec<Tenant> = Vec::new();
         let batcher = {
@@ -363,7 +368,6 @@ impl Registry {
                     name.to_string(),
                     Tenant {
                         batcher: Arc::new(batcher),
-                        version: info.version,
                         last_used: 0,
                     },
                 );
@@ -397,42 +401,16 @@ impl Registry {
         Ok(batcher)
     }
 
-    fn check_schema(schema: &[String], header: &[String]) -> Result<(), RegistryError> {
-        if !schema.is_empty() && header != schema {
-            return Err(RegistryError::SchemaMismatch {
-                query: header.to_vec(),
-                model: schema.to_vec(),
-            });
-        }
-        Ok(())
-    }
-
-    /// Imputes `rows` against model `name`, activating it if cold.
-    /// `header` is validated against the snapshot's recorded schema.
-    pub fn impute(
-        &self,
-        name: &str,
-        header: &[String],
-        rows: Vec<QueryRow>,
-    ) -> Result<Vec<RowResult>, RegistryError> {
-        self.tenant(name)?.read(|s, pool| {
-            Self::check_schema(&s.schema, header)?;
-            Ok(s.impute(pool, rows.len(), |i| rows[i].as_slice()))
-        })?
-    }
-
-    /// [`Registry::impute`] for a flat [`QueryBlock`] — the daemon's
-    /// zero-copy wire path. Answers are bitwise those of the per-row form.
+    /// Imputes the block's rows against model `name`, activating it if
+    /// cold. `header` is validated against the snapshot's recorded schema
+    /// under the guard that serves the rows.
     pub fn impute_block(
         &self,
         name: &str,
         header: &[String],
         rows: QueryBlock,
     ) -> Result<Vec<RowResult>, RegistryError> {
-        self.tenant(name)?.read(|s, pool| {
-            Self::check_schema(&s.schema, header)?;
-            Ok(s.impute(pool, rows.len(), |i| rows.row(i)))
-        })?
+        self.tenant(name)?.impute_checked(header, rows)
     }
 
     /// Absorbs complete tuples into model `name`, activating it if cold.
@@ -444,10 +422,7 @@ impl Registry {
         header: &[String],
         rows: Vec<Vec<f64>>,
     ) -> Result<LearnReply, RegistryError> {
-        self.tenant(name)?.write(true, |s| {
-            Self::check_schema(&s.schema, header)?;
-            Ok(s.learn(&rows))
-        })?
+        self.tenant(name)?.learn_checked(header, rows)
     }
 
     /// Stages snapshot `bytes` as model `name`: validate (full load —
@@ -506,10 +481,7 @@ impl Registry {
                     out
                 });
                 match outcome {
-                    Ok(Ok(_)) => {
-                        tenant.version = info.version;
-                        true
-                    }
+                    Ok(Ok(_)) => true,
                     Ok(Err(why)) => {
                         std::fs::remove_file(&tmp).ok();
                         return Err(RegistryError::StageFailed(why));
@@ -640,6 +612,15 @@ mod tests {
         .unwrap()
     }
 
+    /// The rows as one flat block, the daemon's wire shape.
+    fn block(rows: &[Vec<Option<f64>>]) -> QueryBlock {
+        let mut block = QueryBlock::with_capacity(rows[0].len(), rows.len());
+        for row in rows {
+            block.cells_mut().extend_from_slice(row);
+        }
+        block
+    }
+
     fn cleanup(reg: &Registry) {
         std::fs::remove_dir_all(reg.dir()).ok();
     }
@@ -656,7 +637,7 @@ mod tests {
 
         let header = vec!["A1".to_string(), "A2".to_string()];
         let fills = reg
-            .impute("prices", &header, vec![vec![Some(5.0), None]])
+            .impute_block("prices", &header, block(&[vec![Some(5.0), None]]))
             .unwrap();
         let direct = fitted().impute_one(&[Some(5.0), None]).unwrap();
         assert_eq!(fills[0].as_ref().unwrap()[1].to_bits(), direct[1].to_bits());
@@ -668,7 +649,7 @@ mod tests {
 
         reg.delete("prices").unwrap();
         assert!(matches!(
-            reg.impute("prices", &header, vec![vec![Some(5.0), None]]),
+            reg.impute_block("prices", &header, block(&[vec![Some(5.0), None]])),
             Err(RegistryError::UnknownModel(_))
         ));
         cleanup(&reg);
@@ -697,7 +678,7 @@ mod tests {
         reg.stage("m", &snapshot_bytes()).unwrap();
         let reordered = vec!["A2".to_string(), "A1".to_string()];
         assert!(matches!(
-            reg.impute("m", &reordered, vec![vec![None, Some(5.0)]]),
+            reg.impute_block("m", &reordered, block(&[vec![None, Some(5.0)]])),
             Err(RegistryError::SchemaMismatch { .. })
         ));
         cleanup(&reg);
@@ -712,25 +693,27 @@ mod tests {
         let q = vec![vec![Some(4.5), None]];
 
         // Touch a, learn into it, then touch b (evicting a at cap 1).
-        let before = reg.impute("a", &header, q.clone()).unwrap()[0]
+        let before = reg.impute_block("a", &header, block(&q)).unwrap()[0]
             .clone()
             .unwrap();
         assert_eq!(
             reg.learn("a", &header, vec![vec![4.6, 2.0]]).unwrap(),
             Ok(1)
         );
-        let after_learn = reg.impute("a", &header, q.clone()).unwrap()[0]
+        let after_learn = reg.impute_block("a", &header, block(&q)).unwrap()[0]
             .clone()
             .unwrap();
         assert_ne!(before[1].to_bits(), after_learn[1].to_bits());
 
-        let _ = reg.impute("b", &header, q.clone()).unwrap();
+        let _ = reg.impute_block("b", &header, block(&q)).unwrap();
         assert!(!reg.info("a").unwrap().resident);
         assert!(reg.info("b").unwrap().resident);
 
         // Reactivating a replays the checkpointed learn: same bits as the
         // live model served before eviction.
-        let revived = reg.impute("a", &header, q).unwrap()[0].clone().unwrap();
+        let revived = reg.impute_block("a", &header, block(&q)).unwrap()[0]
+            .clone()
+            .unwrap();
         assert_eq!(after_learn[1].to_bits(), revived[1].to_bits());
         assert_eq!(reg.info("a").unwrap().absorbed, 1);
         cleanup(&reg);
@@ -742,7 +725,7 @@ mod tests {
         reg.stage("m", &snapshot_bytes()).unwrap();
         let header = vec!["A1".to_string(), "A2".to_string()];
         let q = vec![vec![Some(4.5), None]];
-        let v1 = reg.impute("m", &header, q.clone()).unwrap()[0]
+        let v1 = reg.impute_block("m", &header, block(&q)).unwrap()[0]
             .clone()
             .unwrap();
 
@@ -759,7 +742,9 @@ mod tests {
 
         let out = reg.stage("m", &v2_bytes).unwrap();
         assert!(out.swapped);
-        let v2 = reg.impute("m", &header, q).unwrap()[0].clone().unwrap();
+        let v2 = reg.impute_block("m", &header, block(&q)).unwrap()[0]
+            .clone()
+            .unwrap();
         assert_eq!(v2[1].to_bits(), expected[1].to_bits());
         assert_ne!(v1[1].to_bits(), v2[1].to_bits());
         // The file on disk is the new version too.

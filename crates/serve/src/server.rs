@@ -1,37 +1,48 @@
 //! The daemon: a TCP accept loop, one thread per connection, each thread
 //! serving its requests inline against the model's read-write lock.
 //!
-//! # Endpoints — single-model mode (`iim serve MODEL.iim`)
+//! # Routes
 //!
-//! | Method | Path       | Body | Response |
-//! |---|---|---|---|
-//! | `GET`  | `/healthz` | —    | `200 ok` once the model is loaded |
-//! | `GET`  | `/info`    | —    | `200` JSON: mode, method name, arity, worker threads, absorb support, absorbed-tuple count, snapshot format version, connections accepted |
-//! | `POST` | `/impute`  | CSV with header (the `iim-data` row wire format: missing cells empty/`?`/`NA`) | `200` the completed CSV — **byte-identical** to `iim impute` on the same queries with the same model |
-//! | `POST` | `/learn`   | CSV with header, every cell present | `200` JSON: tuples absorbed by this request and in total |
+//! A daemon serves **tenants**, each one model behind its own
+//! [`Batcher`]. Single-model mode (`iim serve MODEL.iim`) has exactly one,
+//! named `default`; registry mode
+//! (`iim serve --models-dir DIR`) serves each `NAME.iim` in the directory
+//! as tenant `NAME` (see [`crate::registry`]). Resolving the tenant is the
+//! only step of a request that depends on the mode: after it, one handler
+//! serves each route.
 //!
-//! # Endpoints — registry mode (`iim serve --models-dir DIR`)
+//! | Method | Path | Mode | Body | Response |
+//! |---|---|---|---|---|
+//! | `GET`    | `/healthz` | both | — | `200 ok` |
+//! | `GET`    | `/info` | both | — | `200` JSON: mode; the single tenant's method, arity, absorb support and absorbed count, or the registry's model, resident and cap counts; the pool threads and admission cap the tenants enforce; connection and degradation counters |
+//! | `POST`   | `/models/{name}/impute` | both | CSV with header (the `iim-data` row wire format: missing cells empty/`?`/`NA`) | `200` the completed CSV — **byte-identical** to `iim impute` on the same queries with the same model |
+//! | `POST`   | `/models/{name}/learn` | both | CSV with header, every cell present | `200` JSON: tuples absorbed by this request and in total; each tuple is checkpointed before the reply when the tenant checkpoints |
+//! | `GET`    | `/models/{name}/info` | both | — | `200` JSON card: name, method, snapshot version, resident, absorb support, absorbed count, schema |
+//! | `POST`   | `/impute`, `/learn` | both | as above | the `default` tenant's `/models/default/impute` and `/models/default/learn` |
+//! | `GET`    | `/models` | registry | — | `200` JSON: every model's card, without its schema |
+//! | `PUT`    | `/models/{name}` | registry | raw snapshot bytes | `200` staged; a resident model is **hot-swapped atomically** (see below) |
+//! | `DELETE` | `/models/{name}` | registry | — | `200` model removed (in-flight requests drain first) |
 //!
-//! | Method | Path | Body | Response |
-//! |---|---|---|---|
-//! | `GET`    | `/healthz` | — | `200 ok` |
-//! | `GET`    | `/info`    | — | `200` JSON registry summary (model count, resident count, cap, connections accepted) |
-//! | `GET`    | `/models`  | — | `200` JSON: every model's card (name, method, snapshot version, resident, absorbed) |
-//! | `PUT`    | `/models/{name}` | raw snapshot bytes | `200` staged; a resident model is **hot-swapped atomically** (see below) |
-//! | `DELETE` | `/models/{name}` | — | `200` model removed (in-flight requests drain first) |
-//! | `GET`    | `/models/{name}/info` | — | `200` JSON card incl. schema |
-//! | `POST`   | `/models/{name}/impute` | CSV | as `/impute`, against that model (activates it if cold) |
-//! | `POST`   | `/models/{name}/learn`  | CSV | as `/learn`, against that model; each tuple is checkpointed to its snapshot before the reply |
+//! A registry tenant activates on its first request. Registry-only routes
+//! in single-model mode answer `404` with a hint.
+//!
+//! # Errors
 //!
 //! Unknown routes answer `404` and known routes with the wrong method
 //! answer `405` (with an `Allow` header), both with a structured JSON
 //! body `{"error":...,"detail":...}` so load balancers and scripts can
-//! tell a typo from a down backend.
+//! tell a typo from a down backend. A tenant's errors use the same shape:
+//! `400` `schema_mismatch` (the query header is not the model's training
+//! header) or `bad_name`, `404` `unknown_model`, `422`
+//! `snapshot_rejected`, `500` `internal` (the model panicked serving this
+//! read; the tenant keeps serving), `stage_failed` or `io`, and `503`
+//! `unavailable` (shutdown, or a panic under a learn or swap). A request
+//! shed at the admission cap gets a plain-text `503` + `Retry-After: 1`.
 //!
-//! Per-connection parse failures return `400`; a query the model cannot
-//! serve (e.g. an attribute outside the fitted target set) returns `422`
-//! with the typed error message. Either way the daemon keeps serving —
-//! only the offending connection sees the error.
+//! A body that does not parse returns a plain-text `400`; a query the
+//! model cannot serve (e.g. an attribute outside the fitted target set)
+//! returns a plain-text `422` naming the line. Either way the daemon keeps
+//! serving — only the offending connection sees the error.
 //!
 //! # Keep-alive
 //!
@@ -55,7 +66,7 @@
 //!
 //! # Atomicity
 //!
-//! `/learn` takes the model's write guard, which `/impute`'s read guard
+//! A learn takes the model's write guard, which an impute's read guard
 //! excludes, so learns and imputes **serialize deterministically**: a
 //! fill served after a learn's response arrived reflects that learn, and
 //! no fill ever observes a half-absorbed batch (see [`crate::batch`]). A
@@ -75,10 +86,11 @@
 //!   beyond the cap is answered with a canned `503` + `Retry-After: 1`
 //!   and closed on the accept thread — no connection thread is spawned,
 //!   so saturating the daemon with connections costs it almost nothing.
-//! - **Bounded admission** ([`ServeConfig::max_queue`]): a request that
-//!   would push the model's admitted, unanswered requests past the cap is
-//!   shed with `503` + `Retry-After: 1` instead of waiting unboundedly
-//!   (see [`crate::batch::SubmitRejected`]).
+//! - **Bounded admission** ([`Batcher::set_max_queue`], or
+//!   [`RegistryConfig::max_queue`](crate::RegistryConfig::max_queue) for
+//!   registry tenants): a request that would push the tenant's admitted,
+//!   unanswered requests past the cap is shed with `503` +
+//!   `Retry-After: 1` instead of waiting unboundedly.
 //! - **Write timeouts** ([`ServeConfig::write_timeout`]): a peer that
 //!   stops draining its socket fails the response write instead of
 //!   pinning the connection thread forever, and the connection is
@@ -89,11 +101,10 @@
 //!   from tail latencies. Shedding never corrupts an answer: a request
 //!   is either refused up front or served bitwise-correctly.
 
-use crate::batch::{Batcher, CheckpointConfig, QueryBlock, SubmitRejected, DEFAULT_MAX_QUEUE};
+use crate::batch::{Batcher, QueryBlock};
 use crate::http::{write_response, HttpError, Request, RequestReader};
-use crate::registry::{Registry, RegistryError};
+use crate::registry::{ModelInfo, Registry, RegistryError};
 use iim_data::csv;
-use iim_data::FittedImputer;
 use std::io::Write as _;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -101,28 +112,19 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Daemon configuration (single-model mode; registry mode reads `addr`,
-/// `threads`, and the overload/timeout knobs).
+/// The name of single-model mode's one tenant, and the tenant that
+/// `/impute` and `/learn` address in either mode.
+const DEFAULT_TENANT: &str = "default";
+
+/// Connection policy, enforced the same way in both modes. A tenant's own
+/// limits (pool threads, admission cap, schema, checkpoint) are set where
+/// the tenant is built: [`Batcher::start`] and its setters in single-model
+/// mode, [`RegistryConfig`](crate::RegistryConfig) for registry tenants.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Bind address, e.g. `127.0.0.1:7878` (port `0` picks an ephemeral
     /// port — see [`Server::local_addr`]).
     pub addr: String,
-    /// Impute-pool worker threads (`0` = the process default).
-    pub threads: usize,
-    /// Training column names (e.g. from the snapshot's
-    /// `SnapshotInfo::schema`). Non-empty: request headers must match
-    /// exactly — a reordered or unrelated header would silently impute
-    /// from transposed features. Empty: only arity is checked.
-    pub schema: Vec<String>,
-    /// Append absorbed tuples to a snapshot file as delta records, making
-    /// restarts cheap: the next `iim serve` load replays the delta instead
-    /// of relearning. `None` disables checkpointing.
-    pub checkpoint: Option<CheckpointConfig>,
-    /// Snapshot container format version reported by `GET /info` (the
-    /// version the served model was loaded from; models fitted in-process
-    /// report the current write version).
-    pub snapshot_version: u16,
     /// Open-connection cap, enforced at accept: a connection beyond the
     /// cap gets a canned `503` + `Retry-After` and is closed without
     /// spawning a thread. `0` = unlimited (the default).
@@ -135,31 +137,15 @@ pub struct ServeConfig {
     /// its socket fails the response write and is evicted instead of
     /// pinning the connection thread. `0` disables. Default 60 s.
     pub write_timeout: Duration,
-    /// Cap on admitted, unanswered requests per model
-    /// ([`Batcher::set_max_queue`]): requests beyond it are shed with
-    /// `503` + `Retry-After`. `0` = unbounded. Default
-    /// [`DEFAULT_MAX_QUEUE`].
-    pub max_queue: usize,
-    /// Torn-tail recoveries observed while loading the served snapshot
-    /// (0 or 1; see `iim_persist::SnapshotInfo::recovered_at`), seeded
-    /// into the `/info` `"recovered"` counter so operators see that a
-    /// crash was survived.
-    pub recovered: usize,
 }
 
 impl Default for ServeConfig {
     fn default() -> Self {
         Self {
             addr: "127.0.0.1:7878".into(),
-            threads: 0,
-            schema: Vec::new(),
-            checkpoint: None,
-            snapshot_version: iim_persist::FORMAT_VERSION,
             max_connections: 0,
             read_timeout: Duration::from_secs(60),
             write_timeout: Duration::from_secs(60),
-            max_queue: DEFAULT_MAX_QUEUE,
-            recovered: 0,
         }
     }
 }
@@ -177,11 +163,7 @@ struct Ops {
     shed: AtomicUsize,
     /// Connections evicted because a response write failed or timed out.
     evicted: AtomicUsize,
-    /// Torn-tail snapshot recoveries observed (startup load plus, in
-    /// registry mode, lazy activations).
-    recovered: AtomicUsize,
     max_connections: usize,
-    max_queue: usize,
     read_timeout: Duration,
     write_timeout: Duration,
 }
@@ -193,9 +175,7 @@ impl Ops {
             active: AtomicUsize::new(0),
             shed: AtomicUsize::new(0),
             evicted: AtomicUsize::new(0),
-            recovered: AtomicUsize::new(cfg.recovered),
             max_connections: cfg.max_connections,
-            max_queue: cfg.max_queue,
             read_timeout: cfg.read_timeout,
             write_timeout: cfg.write_timeout,
         })
@@ -208,21 +188,45 @@ fn timeout_opt(d: Duration) -> Option<Duration> {
     (!d.is_zero()).then_some(d)
 }
 
-/// What the accept loop routes requests onto.
+/// Where tenants come from.
 enum Backend {
-    Single {
-        batcher: Arc<Batcher>,
-        schema: Arc<[String]>,
-        snapshot_version: u16,
-    },
+    /// Single-model mode's one tenant, `default`.
+    Single(Arc<Batcher>),
     Registry(Arc<Registry>),
+}
+
+impl Backend {
+    /// Tenant `name`'s serving handle (a registry tenant activates if
+    /// cold).
+    fn tenant(&self, name: &str) -> Result<Arc<Batcher>, RegistryError> {
+        match self {
+            Backend::Single(tenant) => only_default(name).map(|()| Arc::clone(tenant)),
+            Backend::Registry(reg) => reg.tenant(name),
+        }
+    }
+
+    /// Tenant `name`'s card (never activates a registry tenant).
+    fn card(&self, name: &str) -> Result<ModelInfo, RegistryError> {
+        match self {
+            Backend::Single(tenant) => only_default(name).map(|()| tenant.card(name)),
+            Backend::Registry(reg) => reg.info(name),
+        }
+    }
+}
+
+/// Single-model mode serves no tenant but `default`.
+fn only_default(name: &str) -> Result<(), RegistryError> {
+    if name == DEFAULT_TENANT {
+        Ok(())
+    } else {
+        Err(RegistryError::UnknownModel(name.to_string()))
+    }
 }
 
 /// A bound (but not yet accepting) daemon.
 pub struct Server {
     listener: TcpListener,
     backend: Arc<Backend>,
-    threads: usize,
     stop: Arc<AtomicBool>,
     ops: Arc<Ops>,
 }
@@ -253,35 +257,24 @@ impl ServerHandle {
 }
 
 impl Server {
-    /// Binds the daemon and takes ownership of the model (the model is
-    /// ready to serve as soon as this returns; `run`/`spawn` only accept
-    /// sockets).
-    pub fn bind(model: Box<dyn FittedImputer>, cfg: &ServeConfig) -> std::io::Result<Self> {
-        let listener = TcpListener::bind(&cfg.addr)?;
-        let batcher = Arc::new(Batcher::start(model, cfg.threads, cfg.checkpoint.clone())?);
-        batcher.set_max_queue(cfg.max_queue);
-        Ok(Self {
-            listener,
-            backend: Arc::new(Backend::Single {
-                batcher,
-                schema: cfg.schema.clone().into(),
-                snapshot_version: cfg.snapshot_version,
-            }),
-            threads: cfg.threads,
-            stop: Arc::new(AtomicBool::new(false)),
-            ops: Ops::new(cfg),
-        })
+    /// Binds the daemon in single-model mode: `tenant` serves as
+    /// `default`, and is ready as soon as this returns
+    /// (`run`/`spawn` only accept sockets).
+    pub fn bind(tenant: Batcher, cfg: &ServeConfig) -> std::io::Result<Self> {
+        Self::bind_backend(Backend::Single(Arc::new(tenant)), cfg)
     }
 
     /// Binds the daemon in registry mode: requests address models by name
     /// under `/models/{name}/…` and the admin surface is live. Models
     /// activate lazily — binding costs nothing per model.
     pub fn bind_registry(registry: Arc<Registry>, cfg: &ServeConfig) -> std::io::Result<Self> {
-        let listener = TcpListener::bind(&cfg.addr)?;
+        Self::bind_backend(Backend::Registry(registry), cfg)
+    }
+
+    fn bind_backend(backend: Backend, cfg: &ServeConfig) -> std::io::Result<Self> {
         Ok(Self {
-            listener,
-            backend: Arc::new(Backend::Registry(registry)),
-            threads: cfg.threads,
+            listener: TcpListener::bind(&cfg.addr)?,
+            backend: Arc::new(backend),
             stop: Arc::new(AtomicBool::new(false)),
             ops: Ops::new(cfg),
         })
@@ -295,8 +288,8 @@ impl Server {
     /// One line describing what's being served (for startup banners).
     pub fn describe(&self) -> String {
         match self.backend.as_ref() {
-            Backend::Single { batcher, .. } => {
-                format!("{} (arity {})", batcher.model_name(), batcher.arity())
+            Backend::Single(tenant) => {
+                format!("{} (arity {})", tenant.model_name(), tenant.arity())
             }
             Backend::Registry(reg) => {
                 let (models, _) = reg.summary();
@@ -334,7 +327,6 @@ impl Server {
             self.ops.active.fetch_add(1, Ordering::SeqCst);
             let backend = Arc::clone(&self.backend);
             let ops = Arc::clone(&self.ops);
-            let threads = self.threads;
             // Thread-per-connection: with keep-alive, one thread serves a
             // client's whole request stream and runs its imputes inline;
             // only large requests fan out on the pool.
@@ -351,7 +343,7 @@ impl Server {
                         }
                     }
                     let _guard = ActiveGuard(Arc::clone(&ops));
-                    handle_connection(stream, backend, threads, ops);
+                    handle_connection(stream, backend, ops);
                 });
             if spawned.is_err() {
                 self.ops.active.fetch_sub(1, Ordering::SeqCst);
@@ -361,7 +353,7 @@ impl Server {
         // before returning, even while idle keep-alive connections still
         // hold the backend.
         match self.backend.as_ref() {
-            Backend::Single { batcher, .. } => batcher.shutdown(),
+            Backend::Single(tenant) => tenant.shutdown(),
             Backend::Registry(reg) => reg.shutdown(),
         }
     }
@@ -513,7 +505,7 @@ fn method_not_allowed(conn: &mut Conn, allow: &str, detail: &str) {
     );
 }
 
-fn handle_connection(stream: TcpStream, backend: Arc<Backend>, threads: usize, ops: Arc<Ops>) {
+fn handle_connection(stream: TcpStream, backend: Arc<Backend>, ops: Arc<Ops>) {
     // A stalled client must not pin the thread forever: an idle
     // keep-alive connection past the read timeout closes cleanly between
     // requests, and a peer that stops draining its socket fails the
@@ -570,14 +562,14 @@ fn handle_connection(stream: TcpStream, backend: Arc<Backend>, threads: usize, o
             }
         };
         conn.keep_alive = request.keep_alive;
-        handle_request(&mut conn, &request, &backend, threads);
+        handle_request(&mut conn, &request, &backend);
         if !conn.keep_alive {
             return;
         }
     }
 }
 
-fn handle_request(conn: &mut Conn, request: &Request, backend: &Backend, threads: usize) {
+fn handle_request(conn: &mut Conn, request: &Request, backend: &Backend) {
     // Route on path segments (query strings ignored); unknown paths are
     // 404, known paths with the wrong method are 405 + Allow.
     let path = request.path.split('?').next().unwrap_or("");
@@ -588,114 +580,103 @@ fn handle_request(conn: &mut Conn, request: &Request, backend: &Backend, threads
             conn.respond(200, "OK", "text/plain", b"ok\n");
         }
         (_, ["healthz"]) => method_not_allowed(conn, "GET", "/healthz is GET-only"),
-        ("GET", ["info"]) => handle_info(conn, backend, threads),
+        ("GET", ["info"]) => handle_info(conn, backend),
         (_, ["info"]) => method_not_allowed(conn, "GET", "/info is GET-only"),
-        (m, ["impute"]) | (m, ["learn"]) => {
-            let single = segments[0];
-            match backend {
-                Backend::Registry(_) => not_found(
-                    conn,
-                    &format!(
-                        "registry mode serves per-model routes: POST /models/{{name}}/{single}"
-                    ),
-                ),
-                Backend::Single {
-                    batcher, schema, ..
-                } => {
-                    if m != "POST" {
-                        return method_not_allowed(
-                            conn,
-                            "POST",
-                            &format!("/{single} is POST-only"),
-                        );
-                    }
-                    if single == "impute" {
-                        handle_impute(conn, request, batcher, schema);
-                    } else {
-                        handle_learn(conn, request, batcher, schema);
-                    }
-                }
-            }
+        (_, [route @ ("impute" | "learn")]) => {
+            handle_tenant(conn, request, backend, DEFAULT_TENANT, route)
+        }
+        (_, ["models", name, route @ ("impute" | "learn" | "info")]) => {
+            handle_tenant(conn, request, backend, name, route)
         }
         (m, ["models", ..]) => match backend {
-            Backend::Single { .. } => not_found(
+            Backend::Single(_) => not_found(
                 conn,
                 "model registry routes need registry mode (iim serve --models-dir)",
             ),
-            Backend::Registry(reg) => handle_models(conn, request, m, &segments, reg),
+            Backend::Registry(reg) => handle_admin(conn, request, m, &segments, reg),
         },
         _ => not_found(conn, &format!("no route for {method} {path}")),
     }
 }
 
-fn handle_info(conn: &mut Conn, backend: &Backend, threads: usize) {
-    let resolved = if threads > 0 {
-        threads
-    } else {
-        iim_exec::default_threads()
+fn handle_info(conn: &mut Conn, backend: &Backend) {
+    let (mode, threads, max_queue, recovered) = match backend {
+        Backend::Single(tenant) => (
+            format!(
+                "\"mode\":\"single\",\"method\":{},\"arity\":{},\"can_absorb\":{},\
+                 \"absorbed\":{},\"snapshot_version\":{}",
+                json_str(&tenant.model_name()),
+                tenant.arity(),
+                tenant.can_absorb(),
+                tenant.absorbed(),
+                iim_persist::FORMAT_VERSION,
+            ),
+            tenant.threads(),
+            tenant.max_queue(),
+            tenant.recovered(),
+        ),
+        Backend::Registry(reg) => {
+            let (models, resident) = reg.summary();
+            (
+                format!(
+                    "\"mode\":\"registry\",\"models\":{models},\"resident\":{resident},\
+                     \"max_resident\":{}",
+                    reg.max_resident()
+                ),
+                reg.threads(),
+                reg.max_queue(),
+                reg.recovered(),
+            )
+        }
     };
     let ops = &conn.ops;
-    // The operational tail every mode reports: the admission limits in
-    // force and the degradation counters they feed, so a load test can
-    // assert its traffic was shed (or wasn't) instead of guessing from
-    // latencies.
-    let ops_json = format!(
-        "\"connections\":{},\"active_connections\":{},\"max_connections\":{},\
-         \"max_queue\":{},\"read_timeout_secs\":{},\"write_timeout_secs\":{},\
-         \"shed\":{},\"evicted\":{},\"recovered\":{}",
+    // The limits the tenants and the sockets enforce, and the degradation
+    // counters they feed, so a load test can assert its traffic was shed
+    // (or wasn't) instead of guessing from latencies.
+    let body = format!(
+        "{{{mode},\"threads\":{threads},\"max_queue\":{max_queue},\"connections\":{},\
+         \"active_connections\":{},\"max_connections\":{},\"read_timeout_secs\":{},\
+         \"write_timeout_secs\":{},\"shed\":{},\"evicted\":{},\"recovered\":{recovered}}}\n",
         ops.accepted.load(Ordering::Relaxed),
         ops.active.load(Ordering::SeqCst),
         ops.max_connections,
-        ops.max_queue,
         ops.read_timeout.as_secs(),
         ops.write_timeout.as_secs(),
         ops.shed.load(Ordering::Relaxed),
         ops.evicted.load(Ordering::Relaxed),
-        ops.recovered.load(Ordering::Relaxed) + recovered_extra(backend),
     );
-    let body = match backend {
-        Backend::Single {
-            batcher,
-            snapshot_version,
-            ..
-        } => format!(
-            "{{\"mode\":\"single\",\"method\":\"{}\",\"arity\":{},\"threads\":{},\
-             \"can_absorb\":{},\"absorbed\":{},\"snapshot_version\":{},{ops_json}}}\n",
-            batcher.model_name(),
-            batcher.arity(),
-            resolved,
-            batcher.can_absorb(),
-            batcher.absorbed(),
-            snapshot_version,
-        ),
-        Backend::Registry(reg) => {
-            let (models, resident) = reg.summary();
-            format!(
-                "{{\"mode\":\"registry\",\"models\":{models},\"resident\":{resident},\
-                 \"max_resident\":{},\"threads\":{resolved},{ops_json}}}\n",
-                reg.max_resident(),
-            )
-        }
-    };
     conn.respond(200, "OK", "application/json", body.as_bytes());
 }
 
-/// Registry-mode activations can themselves recover torn snapshot tails;
-/// fold those into the `/info` `"recovered"` counter.
-fn recovered_extra(backend: &Backend) -> usize {
-    match backend {
-        Backend::Single { .. } => 0,
-        Backend::Registry(reg) => reg.recovered(),
+/// `/models/{name}/impute|learn|info`, and `/impute` and `/learn` as the
+/// `default` tenant's: the same handlers in both modes.
+fn handle_tenant(conn: &mut Conn, request: &Request, backend: &Backend, name: &str, route: &str) {
+    let allow = if route == "info" { "GET" } else { "POST" };
+    if request.method != allow {
+        let path = request.path.split('?').next().unwrap_or("");
+        return method_not_allowed(conn, allow, &format!("{path} is {allow}-only"));
+    }
+    match route {
+        "impute" => handle_impute(conn, request, backend, name),
+        "learn" => handle_learn(conn, request, backend, name),
+        _ => match backend.card(name) {
+            Ok(card) => {
+                let body = format!("{}\n", model_card_json(&card, true));
+                conn.respond(200, "OK", "application/json", body.as_bytes());
+            }
+            Err(e) => registry_error(conn, &e),
+        },
     }
 }
 
-/// Routes `/models…` (registry mode only).
-fn handle_models(
+/// Routes the registry's admin surface: `GET /models` and
+/// `PUT`/`DELETE /models/{name}`.
+fn handle_admin(
     conn: &mut Conn,
     request: &Request,
     method: &str,
     segments: &[&str],
-    reg: &Arc<Registry>,
+    reg: &Registry,
 ) {
     match (method, segments) {
         ("GET", ["models"]) => match reg.list() {
@@ -731,29 +712,11 @@ fn handle_models(
             "PUT, DELETE",
             "/models/{name} accepts PUT (stage) and DELETE",
         ),
-        ("GET", ["models", name, "info"]) => match reg.info(name) {
-            Ok(card) => {
-                let body = format!("{}\n", model_card_json(&card, true));
-                conn.respond(200, "OK", "application/json", body.as_bytes());
-            }
-            Err(e) => registry_error(conn, &e),
-        },
-        (_, ["models", _, "info"]) => {
-            method_not_allowed(conn, "GET", "/models/{name}/info is GET-only")
-        }
-        ("POST", ["models", name, "impute"]) => handle_registry_impute(conn, request, reg, name),
-        (_, ["models", _, "impute"]) => {
-            method_not_allowed(conn, "POST", "/models/{name}/impute is POST-only")
-        }
-        ("POST", ["models", name, "learn"]) => handle_registry_learn(conn, request, reg, name),
-        (_, ["models", _, "learn"]) => {
-            method_not_allowed(conn, "POST", "/models/{name}/learn is POST-only")
-        }
         _ => not_found(conn, &format!("no route for {method} {}", request.path)),
     }
 }
 
-fn model_card_json(card: &crate::registry::ModelInfo, with_schema: bool) -> String {
+fn model_card_json(card: &ModelInfo, with_schema: bool) -> String {
     let mut out = format!(
         "{{\"name\":{},\"method\":{},\"snapshot_version\":{},\"resident\":{},\
          \"can_absorb\":{},\"absorbed\":{}",
@@ -775,14 +738,24 @@ fn model_card_json(card: &crate::registry::ModelInfo, with_schema: bool) -> Stri
 /// Maps a [`RegistryError`] to its HTTP response.
 fn registry_error(conn: &mut Conn, e: &RegistryError) {
     if matches!(e, RegistryError::Overloaded) {
-        // Admission-cap shedding keeps its Retry-After hint in registry mode.
-        return overloaded(conn);
+        // The tenant is at its admission cap: shed the request with a
+        // `Retry-After` hint instead of waiting unboundedly. Nothing ran,
+        // so retrying is always safe.
+        conn.ops.shed.fetch_add(1, Ordering::Relaxed);
+        return conn.respond_ext(
+            503,
+            "Service Unavailable",
+            "text/plain",
+            &[("Retry-After", "1")],
+            b"imputation backend at its request cap; retry shortly\n",
+        );
     }
     let (status, reason, label) = match e {
         RegistryError::BadName(_) => (400, "Bad Request", "bad_name"),
         RegistryError::UnknownModel(_) => (404, "Not Found", "unknown_model"),
         RegistryError::SchemaMismatch { .. } => (400, "Bad Request", "schema_mismatch"),
         RegistryError::Load(_) => (422, "Unprocessable Entity", "snapshot_rejected"),
+        RegistryError::Panicked => (500, "Internal Server Error", "internal"),
         RegistryError::StageFailed(_) => (500, "Internal Server Error", "stage_failed"),
         RegistryError::Io(_) => (500, "Internal Server Error", "io"),
         RegistryError::Unavailable => (503, "Service Unavailable", "unavailable"),
@@ -805,46 +778,12 @@ fn bad_request(conn: &mut Conn, msg: String) {
     );
 }
 
-fn backend_unavailable(conn: &mut Conn) {
-    // Shutdown in progress, or the model panicked (the handle is marked
-    // dead and fails requests instead of wedging them).
-    conn.respond(
-        503,
-        "Service Unavailable",
-        "text/plain",
-        b"imputation backend unavailable\n",
-    );
-}
-
-/// The model is at its admission cap: shed the request with a
-/// `Retry-After` hint instead of waiting unboundedly. Nothing ran, so
-/// retrying is always safe.
-fn overloaded(conn: &mut Conn) {
-    conn.ops.shed.fetch_add(1, Ordering::Relaxed);
-    conn.respond_ext(
-        503,
-        "Service Unavailable",
-        "text/plain",
-        &[("Retry-After", "1")],
-        b"imputation backend at its request cap; retry shortly\n",
-    );
-}
-
-/// Routes a [`SubmitRejected`] to its HTTP response.
-fn submit_rejected(conn: &mut Conn, e: SubmitRejected) {
-    match e {
-        SubmitRejected::Overloaded => overloaded(conn),
-        SubmitRejected::Shutdown => backend_unavailable(conn),
-    }
-}
-
-/// Parses a request body shared by `/impute` and `/learn`: a CSV header
-/// (validated against the snapshot schema when one is on board) plus the
-/// data lines with their original line numbers (blank lines skipped).
+/// Parses a request body shared by impute and learn: a CSV header (the
+/// tenant checks it against its schema under its guard) plus the data
+/// lines with their original line numbers (blank lines skipped).
 fn parse_csv_body<'a>(
     conn: &mut Conn,
     request: &'a Request,
-    schema: &[String],
 ) -> Option<(Vec<String>, &'a str, Vec<(usize, &'a str)>)> {
     let Ok(text) = std::str::from_utf8(&request.body) else {
         bad_request(conn, "body is not UTF-8".into());
@@ -856,15 +795,6 @@ fn parse_csv_body<'a>(
         return None;
     };
     let names = csv::parse_header(header);
-    // With a snapshot schema on board, a reordered or unrelated header is
-    // a hard error — imputing it would silently transpose features.
-    if !schema.is_empty() && names != schema {
-        bad_request(
-            conn,
-            format!("query header {names:?} does not match the model's schema {schema:?}"),
-        );
-        return None;
-    }
     let data: Vec<(usize, &str)> = lines
         .enumerate()
         .filter(|(_, line)| !line.trim().is_empty())
@@ -873,186 +803,90 @@ fn parse_csv_body<'a>(
     Some((names, header, data))
 }
 
-/// Parses impute query rows into one flat [`QueryBlock`] — cells go
-/// straight from the wire text into the block's buffer, no per-row
-/// allocation. `None` means the 400 was already sent.
-fn parse_impute_rows(
-    conn: &mut Conn,
-    names: &[String],
-    data: Vec<(usize, &str)>,
-) -> Option<(QueryBlock, Vec<usize>)> {
+/// Imputes the body's rows on tenant `name` and writes the completed
+/// CSV, or the 422 for the first row the model cannot serve.
+fn handle_impute(conn: &mut Conn, request: &Request, backend: &Backend, name: &str) {
+    let Some((names, header, data)) = parse_csv_body(conn, request) else {
+        return;
+    };
     // Parse all rows up front so a syntax error rejects the request
-    // before any imputation runs. Original body line numbers ride along
-    // (blank lines are skipped) so errors point at the client's input.
+    // before any imputation runs. Cells go straight from the wire text
+    // into one flat block, no per-row allocation.
     let mut rows = QueryBlock::with_capacity(names.len(), data.len());
-    let mut linenos: Vec<usize> = Vec::with_capacity(data.len());
-    for (lineno, line) in data {
+    for &(lineno, line) in &data {
         if let Err(e) = csv::parse_row_into(line, names.len(), lineno, rows.cells_mut()) {
-            bad_request(conn, e.to_string());
-            return None;
+            return bad_request(conn, e.to_string());
         }
-        linenos.push(lineno);
     }
-    Some((rows, linenos))
-}
-
-/// Writes the completed CSV (or the 422 for the first failing row).
-fn respond_impute_results(
-    conn: &mut Conn,
-    header: &str,
-    body_capacity: usize,
-    results: &[crate::batch::RowResult],
-    linenos: &[usize],
-) {
+    let results = match backend
+        .tenant(name)
+        .and_then(|tenant| tenant.impute_checked(&names, rows))
+    {
+        Ok(results) => results,
+        Err(e) => return registry_error(conn, &e),
+    };
     // One failing row fails the request (mirroring the CLI, which aborts
     // on the first impute error) — but with the row number attached.
-    let mut body = Vec::with_capacity(body_capacity);
+    let mut body = Vec::with_capacity(request.body.len());
     let _ = writeln!(body, "{header}");
-    for (i, result) in results.iter().enumerate() {
+    for (result, (lineno, _)) in results.iter().zip(&data) {
         match result {
             Ok(values) => {
                 let _ = writeln!(body, "{}", csv::format_row(values));
             }
             Err(e) => {
-                conn.respond(
-                    422,
-                    "Unprocessable Entity",
-                    "text/plain",
-                    format!("imputation failed on line {}: {e}\n", linenos[i]).as_bytes(),
-                );
-                return;
+                let msg = format!("imputation failed on line {lineno}: {e}\n");
+                return conn.respond(422, "Unprocessable Entity", "text/plain", msg.as_bytes());
             }
         }
     }
     conn.respond(200, "OK", "text/csv", &body);
 }
 
-fn handle_impute(conn: &mut Conn, request: &Request, batcher: &Batcher, schema: &[String]) {
-    let Some((names, header, data)) = parse_csv_body(conn, request, schema) else {
+/// Absorbs the body's rows into tenant `name`.
+fn handle_learn(conn: &mut Conn, request: &Request, backend: &Backend, name: &str) {
+    let Some((names, _, data)) = parse_csv_body(conn, request) else {
         return;
     };
-    let Some((rows, linenos)) = parse_impute_rows(conn, &names, data) else {
-        return;
-    };
-    let results = match batcher.impute_block(rows) {
-        Ok(results) => results,
-        Err(e) => return submit_rejected(conn, e),
-    };
-    respond_impute_results(conn, header, request.body.len(), &results, &linenos);
-}
-
-fn handle_registry_impute(conn: &mut Conn, request: &Request, reg: &Arc<Registry>, name: &str) {
-    // Schema validation happens inside the registry (each model has its
-    // own schema), so no local check here.
-    let Some((names, header, data)) = parse_csv_body(conn, request, &[]) else {
-        return;
-    };
-    let Some((rows, linenos)) = parse_impute_rows(conn, &names, data) else {
-        return;
-    };
-    match reg.impute_block(name, &names, rows) {
-        Ok(results) => respond_impute_results(conn, header, request.body.len(), &results, &linenos),
-        Err(e) => registry_error(conn, &e),
-    }
-}
-
-/// Parses learn rows (complete tuples); `None` means the 400 was sent.
-fn parse_learn_rows(
-    conn: &mut Conn,
-    names: &[String],
-    data: Vec<(usize, &str)>,
-) -> Option<(Vec<Vec<f64>>, Vec<usize>)> {
     // Learning rows must be complete — a missing cell has no value to
     // absorb. All rows are validated before any absorb runs, so a 400
     // never leaves the model partially updated.
     let mut rows: Vec<Vec<f64>> = Vec::with_capacity(data.len());
-    let mut linenos: Vec<usize> = Vec::with_capacity(data.len());
-    for (lineno, line) in data {
+    for &(lineno, line) in &data {
         let parsed = match csv::parse_row(line, names.len(), lineno) {
             Ok(row) => row,
-            Err(e) => {
-                bad_request(conn, e.to_string());
-                return None;
-            }
+            Err(e) => return bad_request(conn, e.to_string()),
         };
-        let mut row = Vec::with_capacity(parsed.len());
-        for (col, cell) in parsed.into_iter().enumerate() {
-            match cell {
-                Some(v) => row.push(v),
-                None => {
-                    bad_request(
-                        conn,
-                        format!(
-                            "line {lineno}, column {}: learning rows must be complete \
-                             (missing cell)",
-                            col + 1
-                        ),
-                    );
-                    return None;
-                }
-            }
+        if let Some(col) = parsed.iter().position(Option::is_none) {
+            return bad_request(
+                conn,
+                format!(
+                    "line {lineno}, column {}: learning rows must be complete (missing cell)",
+                    col + 1
+                ),
+            );
         }
-        rows.push(row);
-        linenos.push(lineno);
+        rows.push(parsed.into_iter().flatten().collect());
     }
     if rows.is_empty() {
-        bad_request(conn, "no learning rows in body".into());
-        return None;
+        return bad_request(conn, "no learning rows in body".into());
     }
-    Some((rows, linenos))
-}
-
-fn respond_learn_reply(
-    conn: &mut Conn,
-    reply: crate::batch::LearnReply,
-    absorbed_here: usize,
-    linenos: &[usize],
-) {
-    match reply {
-        Ok(total) => {
+    let absorbed_here = rows.len();
+    match backend
+        .tenant(name)
+        .and_then(|tenant| tenant.learn_checked(&names, rows))
+    {
+        Ok(Ok(total)) => {
             let body = format!("{{\"absorbed\":{absorbed_here},\"total_absorbed\":{total}}}\n");
             conn.respond(200, "OK", "application/json", body.as_bytes());
         }
-        Err((i, e)) => {
-            conn.respond(
-                422,
-                "Unprocessable Entity",
-                "text/plain",
-                format!(
-                    "learning failed on line {}: {e} ({} earlier rows were absorbed)\n",
-                    linenos[i], i
-                )
-                .as_bytes(),
+        Ok(Err((i, e))) => {
+            let msg = format!(
+                "learning failed on line {}: {e} ({i} earlier rows were absorbed)\n",
+                data[i].0
             );
+            conn.respond(422, "Unprocessable Entity", "text/plain", msg.as_bytes());
         }
-    }
-}
-
-fn handle_learn(conn: &mut Conn, request: &Request, batcher: &Batcher, schema: &[String]) {
-    let Some((names, _, data)) = parse_csv_body(conn, request, schema) else {
-        return;
-    };
-    let Some((rows, linenos)) = parse_learn_rows(conn, &names, data) else {
-        return;
-    };
-    let absorbed_here = rows.len();
-    let reply = match batcher.learn(rows) {
-        Ok(reply) => reply,
-        Err(e) => return submit_rejected(conn, e),
-    };
-    respond_learn_reply(conn, reply, absorbed_here, &linenos);
-}
-
-fn handle_registry_learn(conn: &mut Conn, request: &Request, reg: &Arc<Registry>, name: &str) {
-    let Some((names, _, data)) = parse_csv_body(conn, request, &[]) else {
-        return;
-    };
-    let Some((rows, linenos)) = parse_learn_rows(conn, &names, data) else {
-        return;
-    };
-    let absorbed_here = rows.len();
-    match reg.learn(name, &names, rows) {
-        Ok(reply) => respond_learn_reply(conn, reply, absorbed_here, &linenos),
         Err(e) => registry_error(conn, &e),
     }
 }

@@ -9,9 +9,10 @@
 #   3. `iim impute --fit-on`   — stream the same queries through an
 #      in-process fit, and diff against (2) byte-for-byte: a snapshot is
 #      the fitted model, not an approximation
-#   4. `iim serve` in the background + curl the same queries (batch and
-#      single-tuple) — diff the daemon's response against (2)
-#      byte-for-byte; any non-2xx fails via curl -f
+#   4. `iim serve` in the background + curl the same queries (batch on
+#      `/impute` and on `/models/default/impute`, and single-tuple) —
+#      diff the daemon's responses against (2) byte-for-byte; any non-2xx
+#      fails via curl -f
 #   5. kill the daemon
 #
 # Then, for every absorb-supporting method (IIM, Mean, GLR), the
@@ -22,7 +23,8 @@
 #
 # Then the registry leg: stage two models into a `--models-dir` registry,
 # serve both from one daemon, byte-diff the per-model routes against the
-# single-model references, hot-swap a tenant under request load (every
+# single-model references, stage a `default` tenant and diff `/impute`
+# against `/models/default/impute`, hot-swap a tenant under request load (every
 # response must succeed), and evict/reactivate under `--max-resident 1`.
 #
 # Then the crash-recovery legs: a checkpointing daemon is SIGKILLed
@@ -116,6 +118,12 @@ for m in $METHODS; do
     || fail "$m: batch /impute returned non-2xx"
   cmp "$served" "$expected" \
     || fail "$m: daemon response diverged from iim impute output"
+  # The same queries through the `default` tenant's own route.
+  curl -sf --data-binary "@$QUERIES" "http://127.0.0.1:$PORT/models/default/impute" \
+      > "$E2E_DIR/$m.default.csv" \
+    || fail "$m: batch /models/default/impute returned non-2xx"
+  cmp "$E2E_DIR/$m.default.csv" "$expected" \
+    || fail "$m: /models/default/impute diverged from iim impute output"
   # Single-tuple request: header + first query row.
   head -2 "$QUERIES" | curl -sf --data-binary @- "http://127.0.0.1:$PORT/impute" \
       > "$E2E_DIR/$m.single.csv" \
@@ -247,6 +255,23 @@ curl -s "http://127.0.0.1:$PORT/models/ghost/info" | grep -q '"error":"unknown_m
   || fail "registry: ghost model is not a structured 404"
 code=$(curl -s -o /dev/null -w '%{http_code}' "http://127.0.0.1:$PORT/nope")
 [ "$code" = "404" ] || fail "registry: unknown route returned $code, want 404"
+
+# /impute is the `default` tenant's route: an unknown model until
+# default.iim is staged, then byte-equal to /models/default/impute.
+curl -s --data-binary "@$QUERIES" "http://127.0.0.1:$PORT/impute" \
+    | grep -q '"error":"unknown_model"' \
+  || fail "registry: /impute without a default tenant is not an unknown_model 404"
+curl -sf -X PUT --data-binary "@$E2E_DIR/GLR.iim" \
+    "http://127.0.0.1:$PORT/models/default" > /dev/null \
+  || fail "registry: staging the default tenant failed"
+curl -sf --data-binary "@$QUERIES" "http://127.0.0.1:$PORT/impute" \
+    > "$E2E_DIR/registry.default_alias.csv" \
+  || fail "registry: /impute on the default tenant returned non-2xx"
+curl -sf --data-binary "@$QUERIES" "http://127.0.0.1:$PORT/models/default/impute" \
+    > "$E2E_DIR/registry.default.csv" \
+  || fail "registry: /models/default/impute returned non-2xx"
+cmp "$E2E_DIR/registry.default_alias.csv" "$E2E_DIR/registry.default.csv" \
+  || fail "registry: /impute diverged from /models/default/impute"
 
 # Hot swap under load: hammer alpha while PUTting the Mean snapshot over
 # it and then the IIM snapshot back. Every request must succeed (the swap

@@ -26,12 +26,15 @@
 //! model is loaded from an `iim fit --save` snapshot and serves the same
 //! bits it would have served in the fitting process.
 //! `fit` runs the offline phase once and persists it; `serve` turns a
-//! snapshot into a long-lived HTTP daemon (`POST /impute`, `POST /learn`,
-//! `GET /healthz`, `GET /info`) whose fills are byte-identical to
-//! `iim impute` on the same queries — or, with `--models-dir`, serves a
-//! whole registry of named snapshots (`/models/{name}/impute`, staged and
-//! hot-swapped via `PUT /models/{name}` with zero dropped requests; see
-//! `iim_serve::registry`). The daemon exits `0` on `SIGTERM`/ctrl-c after
+//! snapshot into a long-lived HTTP daemon whose fills are byte-identical
+//! to `iim impute` on the same queries. It serves the snapshot as the
+//! tenant `default` (`POST /models/default/impute`, `…/learn`,
+//! `GET /models/default/info`, with `POST /impute` and `POST /learn` as
+//! aliases, plus `GET /healthz` and `GET /info`) — or, with
+//! `--models-dir`, a whole registry of named snapshots as tenants (staged
+//! and hot-swapped via `PUT /models/{name}` with zero dropped requests;
+//! see `iim_serve::server` for the route table). The daemon exits `0` on
+//! `SIGTERM`/ctrl-c after
 //! draining in-flight work. `learn` absorbs complete tuples into
 //! a snapshot offline — the model is updated incrementally (no refit) and
 //! the tuples are appended to the snapshot as delta records, replayed on
@@ -60,7 +63,14 @@ fn usage() -> String {
      \n  iim profile INPUT.csv\
      \n  iim methods\
      \n  iim bench run SPEC.toml [-o OUT.json] [overrides...]\
-     \n  iim bench diff NEW.json BASELINE.json [--noise-band PCT]"
+     \n  iim bench diff NEW.json BASELINE.json [--noise-band PCT]\
+     \n\nserve routes (a tenant is one model: `default` for MODEL.iim, NAME for DIR/NAME.iim):\
+     \n  POST /models/NAME/impute   CSV queries -> completed CSV\
+     \n  POST /models/NAME/learn    complete CSV rows -> absorbed\
+     \n  GET  /models/NAME/info     the tenant's card\
+     \n  POST /impute, POST /learn  the `default` tenant's routes\
+     \n  GET  /healthz, GET /info   readiness, limits and counters\
+     \n  GET /models, PUT /models/NAME (stage), DELETE /models/NAME   --models-dir only"
         .to_string()
 }
 
@@ -411,6 +421,12 @@ fn serve_daemon(args: &[String]) -> ExitCode {
         }
     };
     let t0 = Instant::now();
+    let cfg = iim_serve::ServeConfig {
+        addr: flags.addr.clone(),
+        max_connections: flags.max_connections,
+        read_timeout: flags.read_timeout,
+        write_timeout: flags.write_timeout,
+    };
     let (server, source) = if let Some(dir) = flags.models_dir.clone() {
         // Registry mode: models activate lazily, nothing loads up front.
         if flags.input.is_some() {
@@ -428,15 +444,6 @@ fn serve_daemon(args: &[String]) -> ExitCode {
                 eprintln!("error opening registry {dir}: {e}");
                 return ExitCode::FAILURE;
             }
-        };
-        let cfg = iim_serve::ServeConfig {
-            addr: flags.addr.clone(),
-            threads: flags.threads,
-            max_connections: flags.max_connections,
-            max_queue: flags.max_queue,
-            read_timeout: flags.read_timeout,
-            write_timeout: flags.write_timeout,
-            ..iim_serve::ServeConfig::default()
         };
         match iim_serve::Server::bind_registry(registry, &cfg) {
             Ok(s) => (s, dir),
@@ -484,19 +491,19 @@ fn serve_daemon(args: &[String]) -> ExitCode {
                     truncate_to,
                 }
             });
-        let cfg = iim_serve::ServeConfig {
-            addr: flags.addr.clone(),
-            threads: flags.threads,
-            schema: info.schema,
-            checkpoint,
-            snapshot_version: info.version,
-            max_connections: flags.max_connections,
-            max_queue: flags.max_queue,
-            read_timeout: flags.read_timeout,
-            write_timeout: flags.write_timeout,
-            recovered: usize::from(info.recovered_at.is_some()),
+        // The one tenant, `default`, carries its own limits: pool threads,
+        // admission cap, schema, checkpoint and torn-tail count.
+        let tenant = match iim_serve::Batcher::start(fitted, flags.threads, checkpoint) {
+            Ok(t) => t
+                .with_schema(info.schema.into())
+                .with_recovered(usize::from(info.recovered_at.is_some())),
+            Err(e) => {
+                eprintln!("error starting the model: {e}");
+                return ExitCode::FAILURE;
+            }
         };
-        match iim_serve::Server::bind(fitted, &cfg) {
+        tenant.set_max_queue(flags.max_queue);
+        match iim_serve::Server::bind(tenant, &cfg) {
             Ok(s) => (s, model_path),
             Err(e) => {
                 eprintln!("error binding {}: {e}", cfg.addr);
@@ -510,9 +517,10 @@ fn serve_daemon(args: &[String]) -> ExitCode {
         .map(|a| a.to_string())
         .unwrap_or_else(|_| flags.addr.clone());
     let routes = if flags.models_dir.is_some() {
-        "GET/PUT/DELETE /models..., POST /models/{name}/impute|learn"
+        "POST /models/{name}/impute|learn, GET /models/{name}/info, GET/PUT/DELETE /models..., \
+         POST /impute|learn (tenant default)"
     } else {
-        "POST /impute, POST /learn"
+        "POST /impute|learn = POST /models/default/impute|learn, GET /models/default/info"
     };
     eprintln!(
         "serving {} from {source} (ready in {:.4}s) on http://{addr} — \

@@ -98,8 +98,8 @@
 //!   land at their own index and float reductions stay serial — so output
 //!   is **bitwise-identical for every worker count**. This is
 //!   property-tested per method in `tests/fit_serve.rs` (a 4-worker
-//!   `impute_all` equals the serial one cell-for-cell) and asserted on
-//!   real workloads by the `parallel` bench binary.
+//!   `impute_all` equals the serial one cell-for-cell, and fit plus
+//!   `impute_all` under 1 and 4 default workers fill a relation alike).
 //! * **What runs in parallel.** Offline: individual-model learning and
 //!   the adaptive ℓ sweep (per tuple), neighbor-order construction (per
 //!   point), per-target fits in
@@ -109,13 +109,11 @@
 //!   [`FittedImputer::impute_all`](data::FittedImputer) fan queries out;
 //!   one fitted model also serves many threads directly (`Send + Sync`,
 //!   validated by a cross-thread bitwise test).
-//! * **Measured.** `cargo run -p iim-bench --release --bin parallel`
-//!   records per-method offline/online wall-clock at 1 vs N threads into
-//!   `bench_results/BENCH_parallel.json`, asserting every N-thread output
-//!   bitwise-equal to serial on the way. The file records
-//!   `available_cores` — re-run on multi-core hardware to capture that
-//!   machine's scaling (the committed baseline comes from a 1-core
-//!   container, where speedups ≈1× by construction).
+//! * **Measured.** `iim bench run crates/bench/specs/parallel_grid.toml`
+//!   times every method offline and online at 1 vs 4 threads over the
+//!   paper's missing-rate sweep, asserting each cell's rmse bits equal
+//!   across thread counts. The envelope records `available_cores`, so a
+//!   run on a 1-core box (speedups ≈1× by construction) says so.
 //!
 //! ## Crate map
 //!

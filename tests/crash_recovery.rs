@@ -297,12 +297,13 @@ mod faults {
     fn a_hammered_daemon_under_faults_only_ever_answers_correctly() {
         let _g = lock();
         iim_faults::clear_all();
+        let tenant = iim_serve::Batcher::start(fitted(), 2, None)
+            .unwrap()
+            .with_schema(vec!["A1".to_string(), "A2".to_string()].into());
         let server = iim_serve::Server::bind(
-            fitted(),
+            tenant,
             &iim_serve::ServeConfig {
                 addr: "127.0.0.1:0".into(),
-                threads: 2,
-                schema: vec!["A1".to_string(), "A2".to_string()],
                 write_timeout: std::time::Duration::from_secs(5),
                 ..Default::default()
             },
@@ -338,10 +339,9 @@ mod faults {
         let _g = lock();
         iim_faults::clear_all();
         let server = iim_serve::Server::bind(
-            fitted(),
+            iim_serve::Batcher::start(fitted(), 1, None).unwrap(),
             &iim_serve::ServeConfig {
                 addr: "127.0.0.1:0".into(),
-                threads: 1,
                 max_connections: 1,
                 ..Default::default()
             },
@@ -409,8 +409,9 @@ mod faults {
         registry.stage("m", &v1).unwrap();
         let header = vec!["A1".to_string(), "A2".to_string()];
         let fill = |registry: &iim_serve::Registry| -> u64 {
-            let rows = vec![QUERY.to_vec()];
-            registry.impute("m", &header, rows).unwrap()[0]
+            let mut rows = iim_serve::QueryBlock::with_capacity(QUERY.len(), 1);
+            rows.cells_mut().extend_from_slice(&QUERY);
+            registry.impute_block("m", &header, rows).unwrap()[0]
                 .as_ref()
                 .expect("impute must keep serving")[1]
                 .to_bits()

@@ -10,12 +10,14 @@
 //!   serves later queries — the serving scenario the batch-only API could
 //!   not express.
 //! * parallel serving is **deterministic**: `impute_all`/`impute_batch` on
-//!   a 4-worker pool are bitwise-identical to the serial run, and one
-//!   fitted model shared by N threads answers every query exactly like the
-//!   single-threaded reference (the `iim-exec` invariant).
+//!   a 4-worker pool are bitwise-identical to the serial run, one fitted
+//!   model shared by N threads answers every query exactly like the
+//!   single-threaded reference, and fitting plus `impute_all` under 1 and
+//!   4 default workers fill a whole relation alike (the `iim-exec`
+//!   invariant).
 
 use iim::prelude::*;
-use iim_data::inject::inject_random;
+use iim_data::inject::{inject_attr, inject_random};
 use iim_exec::Pool;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -344,4 +346,38 @@ fn paper_fig1_fit_serve_round_trip() {
         "fitted serving must reproduce the batch fill for tx"
     );
     assert!((one[1] - 1.8).abs() < 0.7, "imputed {}", one[1]);
+}
+
+/// The `iim-exec` determinism invariant on a whole relation, fit included:
+/// for every method, fitting and `impute_all` under 1 and under 4 default
+/// workers fill the relation bitwise alike. The relation is large enough
+/// that the fit's per-tuple maps and `impute_all`'s per-query map cross
+/// `DEFAULT_SERIAL_CUTOFF`, so the 4-worker side really fans out.
+#[test]
+fn fit_and_impute_all_match_at_one_and_four_default_threads() {
+    let mut rel = iim::datagen::asf_like(300, 7);
+    let target = rel.arity() - 1;
+    let holes = 2 * iim_exec::DEFAULT_SERIAL_CUTOFF;
+    inject_attr(&mut rel, target, holes, &mut StdRng::seed_from_u64(7));
+    assert!(rel.incomplete_rows().len() > iim_exec::DEFAULT_SERIAL_CUTOFF);
+    let targets = rel.incomplete_attrs();
+    let fill = |method: &dyn Imputer, threads: usize| {
+        iim_exec::set_default_threads(threads);
+        let filled = match method.fit_targets(&rel, &targets) {
+            Ok(fitted) => Some(fitted.impute_all(&rel)),
+            Err(ImputeError::Unsupported(_)) => None, // the paper's "-"
+            Err(e) => panic!("{} failed to fit: {e}", method.name()),
+        };
+        iim_exec::set_default_threads(0);
+        filled.map(|r| r.unwrap_or_else(|e| panic!("{} failed to impute: {e}", method.name())))
+    };
+    for method in all_fourteen(10, 7) {
+        let one = fill(method.as_ref(), 1);
+        let four = fill(method.as_ref(), 4);
+        assert!(
+            one == four,
+            "{}: fit + impute_all at 4 default threads diverged from 1",
+            method.name()
+        );
+    }
 }

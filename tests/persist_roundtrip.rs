@@ -482,12 +482,12 @@ fn snapshot_info_matches_the_model() {
     }
 }
 
-/// Writes one `POST /impute` on a keep-alive connection and reads its
+/// Writes one `POST path` impute on a keep-alive connection and reads its
 /// one Content-Length-framed response: (head, body).
-fn post_impute(stream: &mut TcpStream, body: &str) -> (String, String) {
+fn post_impute(stream: &mut TcpStream, path: &str, body: &str) -> (String, String) {
     write!(
         stream,
-        "POST /impute HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
+        "POST {path} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
         body.len()
     )
     .unwrap();
@@ -564,10 +564,9 @@ fn the_daemon_serves_a_loaded_snapshot_byte_for_byte() {
             body
         };
         let server = iim_serve::Server::bind(
-            loaded,
+            iim_serve::Batcher::start(loaded, 2, None).expect("start"),
             &iim_serve::ServeConfig {
                 addr: "127.0.0.1:0".into(),
-                threads: 2,
                 ..Default::default()
             },
         )
@@ -578,13 +577,17 @@ fn the_daemon_serves_a_loaded_snapshot_byte_for_byte() {
             .set_read_timeout(Some(std::time::Duration::from_secs(30)))
             .unwrap();
 
-        let (head, body) = post_impute(&mut stream, &request(&queries));
-        assert!(head.starts_with("HTTP/1.1 200"), "{name}: {head}");
-        assert_eq!(body, expected(&queries), "{name}: 120-row request");
-        for row in queries.chunks(1).take(10) {
-            let (head, body) = post_impute(&mut stream, &request(row));
-            assert!(head.starts_with("HTTP/1.1 200"), "{name}: {head}");
-            assert_eq!(body, expected(row), "{name}: single-row request");
+        // `/impute` is the `default` tenant's route: both paths answer
+        // every request with the same body.
+        for path in ["/impute", "/models/default/impute"] {
+            let (head, body) = post_impute(&mut stream, path, &request(&queries));
+            assert!(head.starts_with("HTTP/1.1 200"), "{name} {path}: {head}");
+            assert_eq!(body, expected(&queries), "{name} {path}: 120-row request");
+            for row in queries.chunks(1).take(10) {
+                let (head, body) = post_impute(&mut stream, path, &request(row));
+                assert!(head.starts_with("HTTP/1.1 200"), "{name} {path}: {head}");
+                assert_eq!(body, expected(row), "{name} {path}: single-row request");
+            }
         }
         drop(stream);
         handle.shutdown();
