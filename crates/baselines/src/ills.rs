@@ -295,6 +295,13 @@ impl Imputer for Ills {
         rel: &Relation,
         targets: &[usize],
     ) -> Result<Box<dyn FittedImputer>, ImputeError> {
+        if self.k == 0 {
+            // No neighbour, no local regression: each estimate would be
+            // the mean of nothing.
+            return Err(ImputeError::Unsupported(
+                "ILLS needs at least one local neighbor (k >= 1)".into(),
+            ));
+        }
         let m = rel.arity();
         let mut fitted: Vec<Option<IllsTarget>> = (0..m).map(|_| None).collect();
         let mut filled = rel.clone();
@@ -348,6 +355,24 @@ mod tests {
         let out = Ills::new(6).impute(&rel).unwrap();
         assert!((out.get(50, 1).unwrap() - 3.1).abs() < 0.05);
         assert!((out.get(51, 1).unwrap() - 3.8).abs() < 0.05);
+    }
+
+    #[test]
+    fn zero_neighbors_is_unsupported_not_a_panic() {
+        let mut rel = Relation::with_capacity(Schema::anonymous(2), 0);
+        for i in 0..20 {
+            rel.push_row(&[i as f64, 2.0 * i as f64]);
+        }
+        rel.push_row_opt(&[Some(3.5), None]);
+        let ills = Ills {
+            k: 0,
+            ..Ills::default()
+        };
+        assert!(matches!(
+            ills.impute(&rel),
+            Err(ImputeError::Unsupported(_))
+        ));
+        assert!(matches!(ills.fit(&rel), Err(ImputeError::Unsupported(_))));
     }
 
     #[test]

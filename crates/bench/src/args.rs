@@ -1,5 +1,5 @@
-//! Minimal flag parsing shared by the experiment binaries (no CLI crate —
-//! a few optional flags do not justify a dependency).
+//! Minimal flag parsing for the `serving` bin (no CLI crate — a few
+//! optional flags do not justify a dependency).
 
 use iim_neighbors::IndexChoice;
 
@@ -15,9 +15,8 @@ pub struct Args {
     /// Worker-thread override (`--threads`); `None` leaves the process
     /// default (`IIM_THREADS` / available parallelism) in place.
     pub threads: Option<usize>,
-    /// Neighbor-index override (`--index auto|brute|kdtree|vptree`),
-    /// plumbed into `IimConfig`/the baselines by the binaries that honour
-    /// it (the `serving` bin benches every variant regardless).
+    /// Neighbor-index override (`--index auto|brute|kdtree|vptree`): the
+    /// `serving` bin benches that variant beside brute.
     pub index: IndexChoice,
 }
 
@@ -29,12 +28,6 @@ impl Args {
     /// [`iim_exec::set_default_threads`], so every pool the binary touches
     /// afterwards uses it.
     pub fn parse() -> Self {
-        Self::parse_from(std::env::args().skip(1))
-    }
-
-    /// [`Args::parse`] over an explicit argument iterator — the `paper`
-    /// dispatcher strips its subcommand first.
-    pub fn parse_from<I: Iterator<Item = String>>(args: I) -> Self {
         let mut out = Self {
             seed: 42,
             n: None,
@@ -42,7 +35,7 @@ impl Args {
             threads: None,
             index: IndexChoice::Auto,
         };
-        let mut it = args;
+        let mut it = std::env::args().skip(1);
         while let Some(flag) = it.next() {
             match flag.as_str() {
                 "--seed" => {

@@ -6,6 +6,7 @@
 //! [`bench_main`].
 
 use crate::diff::{diff, DiffConfig, Stat};
+use crate::report::{metric_table, Table};
 use crate::result::BenchResult;
 use crate::runner;
 use crate::spec::Spec;
@@ -16,13 +17,17 @@ pub fn usage() -> String {
     "usage:\
      \n  iim bench run [SPEC.toml] [-o OUT.json] [--name X] [--methods A,B] [--datasets A,B]\
      \n                [--rates R,R] [--threads T,T] [--index I,I] [--repeats N] [--warmup N]\
-     \n                [--seed S] [--n N] [--k K]\
+     \n                [--seeds S,S] [--n N,N] [--k K,K] [--features all|F,...]\
+     \n                [--injector attr|attr:J|clustered:C,...]\
      \n  iim bench diff NEW.json BASELINE.json [--noise-band PCT] [--min-effect-us US]\
      \n                [--stat min|mean]\
      \n\
-     \nrun executes the spec's (methods x datasets x rates x threads x index) cross-product\
-     \nand writes a schema-versioned, machine-tagged result envelope (default\
+     \nrun executes the spec's cross-product (datasets x n x seeds x injector x rates x\
+     \nfeatures x k x index x methods x threads), prints each cell's rmse as one table, and\
+     \nwrites a schema-versioned, machine-tagged result envelope (default\
      \nbench_results/BENCH_<name>.json). Flags override the spec file; either alone works.\
+     \nIIM takes learning settings in its method name: IIM/fixed=200, IIM/h=10,\
+     \nIIM/ell_max=500, IIM/h=50/straightforward, IIM/weighting=uniform|inverse.\
      \ndiff compares two result files cell by cell: exit 0 = pass/warn, 1 = regression\
      \nbeyond the noise band (or lost coverage / rmse drift), 2 = usage error."
         .to_string()
@@ -76,9 +81,11 @@ fn run_cmd(args: &[String]) -> i32 {
             "--index" => flag("index"),
             "--repeats" => flag("repeats"),
             "--warmup" => flag("warmup"),
-            "--seed" => flag("seed"),
+            "--seeds" => flag("seeds"),
             "--n" => flag("n"),
             "--k" => flag("k"),
+            "--features" => flag("features"),
+            "--injector" => flag("injector"),
             path if !path.starts_with('-') => {
                 if spec_path.is_some() {
                     Err(format!("unexpected extra argument {path:?}"))
@@ -122,6 +129,10 @@ fn run_cmd(args: &[String]) -> i32 {
     }
 
     let result = runner::run(&spec);
+    print!(
+        "{}",
+        metric_table(&result, "rmse", "method", Table::num).render()
+    );
     let written = match &out_path {
         Some(path) => result.write_to(path).map(|()| path.clone()),
         None => result.write_named(false),
@@ -234,6 +245,22 @@ mod tests {
     fn bad_spec_values_surface_as_usage_errors() {
         assert_eq!(bench_main(&strings(&["run", "--methods", "Nope"])), 2);
         assert_eq!(bench_main(&strings(&["run", "--rates", "abc"])), 2);
+    }
+
+    #[test]
+    fn degenerate_sizes_are_usage_errors_before_any_cell_runs() {
+        for args in [
+            &["run", "--n", "1"][..],
+            &["run", "--n", "0"],
+            &["run", "--n", "300,1"],
+            &["run", "--k", "0"],
+            &["run", "--k", "10,0"],
+            &["run", "--features", "0"],
+            &["run", "--injector", "attr:9"],
+            &["run", "--seeds", "x"],
+        ] {
+            assert_eq!(bench_main(&strings(args)), 2, "{args:?}");
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@ pub enum PaperData {
     /// CCPP — near-linear, 10k x 5.
     Ccpp,
     /// SN — oscillating 2-attribute data; paper size 100k, harness default
-    /// 20k (scalable with `--n`).
+    /// 20k (a spec's `n` scales it).
     Sn,
     /// PHASE — clear global regression, 10k x 4.
     Phase,
@@ -49,7 +49,7 @@ impl PaperData {
     }
 
     /// Harness-default tuple count: the paper's, except SN, which runs at
-    /// 20k of the paper's 100k. Override with `--n`.
+    /// 20k of the paper's 100k. A spec's `n` overrides it.
     pub fn default_n(&self) -> usize {
         match self {
             PaperData::Asf => 1500,
@@ -59,6 +59,18 @@ impl PaperData {
             PaperData::Phase => 10_000,
             PaperData::Ca => 20_000,
             PaperData::Da => 7_000,
+        }
+    }
+
+    /// Attribute count of the generated relation (the last one, `Am`, is
+    /// the default incomplete attribute).
+    pub fn arity(&self) -> usize {
+        match self {
+            PaperData::Asf | PaperData::Ccs | PaperData::Da => 6,
+            PaperData::Ccpp => 5,
+            PaperData::Sn => 2,
+            PaperData::Phase => 4,
+            PaperData::Ca => 9,
         }
     }
 
@@ -99,7 +111,7 @@ mod tests {
         for d in PaperData::ALL {
             let rel = d.generate(Some(50), 1);
             assert_eq!(rel.n_rows(), 50, "{}", d.name());
-            assert!(rel.arity() >= 2);
+            assert_eq!(rel.arity(), d.arity(), "{}", d.name());
             let (s, h) = d.paper_profile();
             assert!((0.0..=1.0).contains(&s) && (0.0..=1.0).contains(&h));
         }

@@ -83,6 +83,15 @@ impl Default for DiffConfig {
     }
 }
 
+impl DiffConfig {
+    /// The `rmse` rule: `new` agrees with `base` within
+    /// [`rmse_tolerance`](DiffConfig::rmse_tolerance), relative to
+    /// `max(|base|, 1)`.
+    pub fn rmse_agrees(&self, new: f64, base: f64) -> bool {
+        (new - base).abs() <= self.rmse_tolerance * base.abs().max(1.0)
+    }
+}
+
 /// Per-cell outcome, ordered worst-last so `max()` picks the verdict.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Verdict {
@@ -228,8 +237,7 @@ fn compare_cell(key: &str, new: &Cell, base: &Cell, cfg: &DiffConfig) -> CellRep
         };
         if name == "rmse" {
             let (nv, bv) = (cfg.stat.of(new_metric), cfg.stat.of(base_metric));
-            let tol = cfg.rmse_tolerance * bv.abs().max(1.0);
-            if (nv - bv).abs() > tol {
+            if !cfg.rmse_agrees(nv, bv) {
                 verdict = verdict.max(Verdict::Fail);
                 details.push(format!(
                     "rmse: {nv} vs baseline {bv} — correctness drift beyond {:.0e} tolerance",

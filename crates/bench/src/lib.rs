@@ -1,36 +1,36 @@
-//! Experiment harness regenerating the IIM paper's evaluation section,
-//! plus the spec-driven runner and perf-regression gate on top of it.
+//! Experiment harness regenerating the IIM paper's evaluation section:
+//! one spec-driven runner, its result envelope, and the regression gate.
 //!
-//! Two surfaces share one core:
-//!
-//! - **The paper artifacts** — the `paper` binary dispatches every table
-//!   and figure (`paper table5`, `paper fig4` … `paper all`), printing the
-//!   paper's rows/series and writing TSVs to `bench_results/`. Sizes are
-//!   the paper's except where noted in [`datasets`]; every artifact
-//!   accepts `--seed`/`--n`/`--quick` overrides.
 //! - **The experiment runner** — `iim bench run <spec>` expands a
-//!   declarative [`spec::Spec`] (methods × datasets × missing-rates ×
-//!   threads × index × repeats) through [`runner`], and emits one
-//!   versioned machine-tagged [`result`] envelope. `iim bench diff`
-//!   ([`diff`]) is the regression gate over any two such files.
-//!   Committed spec presets live under `crates/bench/specs/`.
+//!   declarative [`spec::Spec`] (datasets × n × seeds × injector ×
+//!   missing-rates × features × k × index × methods × threads, plus
+//!   repeats) through [`runner`], prints the rmse of the cells it wrote
+//!   as one table, and emits one versioned machine-tagged [`result`]
+//!   envelope. IIM's learning settings are method names
+//!   ([`harness::IimSettings`]). `iim bench diff` ([`diff`]) is the
+//!   regression gate over any two such files. Committed presets live
+//!   under `crates/bench/specs/`; every imputation-error artifact of the
+//!   paper (Tables V–VI, Figures 4–13, the ablation) is a spec under
+//!   `crates/bench/specs/paper/`.
+//! - **Two artifacts that are not error sweeps** — the `paper` binary's
+//!   `table7` (downstream purity and F1) and `profiles` (R²_S and R²_H
+//!   per dataset and attribute) emit the same envelope with their own
+//!   metric names.
 //!
 //! One bespoke executor measures what a generic spec cannot — `serving`
 //! (index-backed vs brute serving over an (n, m) grid) — and emits the
-//! same envelope. The daemon,
-//! persistence and absorb paths are measured by the repository
-//! benchmark in `perfbench/`. Run everything in release:
+//! same envelope. The daemon, persistence and absorb paths are measured
+//! by the repository benchmark in `perfbench/`. Run everything in release:
 //!
 //! ```text
-//! cargo run -p iim-bench --release --bin paper -- table5
-//! cargo run --release --bin iim -- bench run crates/bench/specs/ci_quick.toml
+//! cargo run --release --bin iim -- bench run crates/bench/specs/paper/table5.toml
+//! cargo run -p iim-bench --release --bin paper -- table7
 //! ```
 
 pub mod args;
 pub mod cli;
 pub mod datasets;
 pub mod diff;
-pub mod figures;
 pub mod harness;
 pub mod json;
 pub mod report;
@@ -40,7 +40,7 @@ pub mod spec;
 
 pub use args::Args;
 pub use datasets::PaperData;
-pub use harness::{method_lineup, method_lineup_with, run_lineup, score_cell, MethodScore};
+pub use harness::{method_lineup, score_cell, MethodScore};
 pub use report::Table;
 pub use result::{BenchResult, Cell, Machine, Metric};
 pub use spec::Spec;

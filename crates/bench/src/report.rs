@@ -1,9 +1,11 @@
-//! Aligned-table printing and TSV output for the experiment binaries.
+//! Aligned-table printing for the experiment binaries and `iim bench
+//! run`, and where their result envelopes go.
 
+use crate::result::BenchResult;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
-/// A simple column-aligned table that also serializes to TSV.
+/// A simple column-aligned table.
 #[derive(Debug, Clone, Default)]
 pub struct Table {
     header: Vec<String>,
@@ -77,22 +79,64 @@ impl Table {
     pub fn print(&self, title: &str) {
         println!("\n== {title} ==\n{}", self.render());
     }
+}
 
-    /// Writes a TSV file into `bench_results/` (created on demand),
-    /// returning the path.
-    pub fn write_tsv(&self, name: &str) -> std::io::Result<PathBuf> {
-        let dir = results_dir();
-        std::fs::create_dir_all(&dir)?;
-        let path = dir.join(format!("{name}.tsv"));
-        let mut body = self.header.join("\t");
-        body.push('\n');
-        for row in &self.rows {
-            body.push_str(&row.join("\t"));
-            body.push('\n');
+/// One metric of an envelope as one table: a row per distinct value of
+/// the coordinates that vary across the cells (the dataset always shows),
+/// a column per value of the `column` coordinate, in first-seen order,
+/// each value printed by `format` (`None` where no cell holds the metric).
+pub fn metric_table(
+    result: &BenchResult,
+    metric: &str,
+    column: &str,
+    format: fn(Option<f64>) -> String,
+) -> Table {
+    let cells: Vec<_> = result
+        .cells
+        .iter()
+        .filter_map(|c| Some((c, c.metric_named(metric)?.min())))
+        .collect();
+    let coord = |cell: &crate::result::Cell, key: &str| {
+        cell.id
+            .iter()
+            .find(|(k, _)| k == key)
+            .map_or_else(String::new, |(_, v)| v.to_string())
+    };
+    let keys: Vec<String> = cells.first().map_or_else(Vec::new, |(first, _)| {
+        first
+            .id
+            .iter()
+            .map(|(k, _)| k.clone())
+            .filter(|k| {
+                k != column
+                    && (k == "dataset" || cells.iter().any(|(c, _)| coord(c, k) != coord(first, k)))
+            })
+            .collect()
+    });
+    let mut columns: Vec<String> = Vec::new();
+    let mut rows: Vec<(Vec<String>, Vec<(usize, f64)>)> = Vec::new();
+    for (cell, value) in &cells {
+        let col = coord(cell, column);
+        let col = columns.iter().position(|c| *c == col).unwrap_or_else(|| {
+            columns.push(col);
+            columns.len() - 1
+        });
+        let row_key: Vec<String> = keys.iter().map(|k| coord(cell, k)).collect();
+        match rows.iter_mut().find(|(key, _)| *key == row_key) {
+            Some((_, values)) => values.push((col, *value)),
+            None => rows.push((row_key, vec![(col, *value)])),
         }
-        std::fs::write(&path, body)?;
-        Ok(path)
     }
+    let mut table = Table::new(keys.iter().chain(&columns).cloned().collect());
+    for (key, values) in rows {
+        let mut row = key;
+        row.extend(
+            (0..columns.len())
+                .map(|c| format(values.iter().find(|(col, _)| *col == c).map(|(_, v)| *v))),
+        );
+        table.push(row);
+    }
+    table
 }
 
 /// `bench_results/` next to the workspace root (or the current directory
@@ -140,6 +184,44 @@ mod tests {
         assert!(s.contains('-'));
         let lines: Vec<&str> = s.lines().collect();
         assert_eq!(lines.len(), 5);
+    }
+
+    #[test]
+    fn metric_table_pivots_methods_into_columns() {
+        use crate::result::Cell;
+        let mut result = BenchResult::new("unit", 0, 1);
+        for (dataset, method, seed, rmse) in [
+            ("ASF", "IIM", 1.0, 0.5),
+            ("ASF", "kNN", 1.0, 0.75),
+            ("ASF", "IIM", 2.0, 0.25),
+            ("CA", "kNN", 1.0, 2.0),
+        ] {
+            result.push(
+                Cell::new()
+                    .coord_str("dataset", dataset)
+                    .coord_str("method", method)
+                    .coord_num("k", 10.0)
+                    .coord_num("seed", seed)
+                    .metric("rmse", vec![rmse]),
+            );
+        }
+        let lines: Vec<String> = metric_table(&result, "rmse", "method", Table::num)
+            .render()
+            .lines()
+            .map(|l| l.split_whitespace().collect::<Vec<_>>().join(" "))
+            .collect();
+        // `k` never varies, so it is not a row coordinate.
+        assert_eq!(lines[0], "dataset seed IIM kNN");
+        assert_eq!(lines[2], "ASF 1 0.50 0.75");
+        assert_eq!(lines[3], "ASF 2 0.25 -");
+        assert_eq!(lines[4], "CA 1 - 2.00");
+        assert_eq!(
+            metric_table(&result, "purity", "method", Table::num)
+                .render()
+                .lines()
+                .count(),
+            2
+        );
     }
 
     #[test]

@@ -630,7 +630,12 @@ mod tests {
             assert_eq!(r.schema_version, 1, "{}", path.display());
             names.push(path.file_name().unwrap().to_string_lossy().into_owned());
         }
-        let committed = ["BASELINE_ci_quick.json", "BENCH_serving.json"];
+        let committed = [
+            "BASELINE_ci_quick.json",
+            "BENCH_serving.json",
+            "BENCH_table5.json",
+            "BENCH_fig11.json",
+        ];
         for name in committed {
             assert!(names.contains(&name.to_string()), "{name} not found");
         }

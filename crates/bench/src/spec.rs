@@ -1,9 +1,10 @@
 //! The declarative experiment spec: what to run, expressed as data.
 //!
-//! A spec names a cross-product of (methods × datasets × missing-rates ×
-//! threads × index × repeats) plus workload knobs (`n`, `k`, `seed`,
-//! warm-up policy). Specs come from a TOML file (the committed presets
-//! under `crates/bench/specs/`) or from `iim bench run` CLI flags; either
+//! A spec names a cross-product of (datasets × n × seeds × injector ×
+//! missing-rates × features × k × index × methods × threads) plus the
+//! warm-up policy. Specs come from a TOML file (the committed presets
+//! under `crates/bench/specs/`, the paper's artifacts under
+//! `crates/bench/specs/paper/`) or from `iim bench run` CLI flags; either
 //! way they land in one [`Spec`] value that the [runner](crate::runner)
 //! expands into cells.
 //!
@@ -11,28 +12,95 @@
 //! lines with strings, numbers, booleans, and single-line arrays, plus
 //! `#` comments — because the workspace is dependency-free by policy.
 //! Everything a spec names is validated up front against the real
-//! registries ([`KNOWN_METHODS`], [`PaperData::ALL`],
-//! [`IndexChoice::parse`]): an unknown method or dataset is a typed
-//! [`SpecError`], never a panic halfway through a run.
+//! registries ([`KNOWN_METHODS`] and [`IimSettings`], [`PaperData::ALL`]
+//! and each dataset's arity, [`IndexChoice::parse`]): an unknown method,
+//! a bad size or an attribute a dataset lacks is a typed [`SpecError`],
+//! never a panic halfway through a run.
 
 use crate::datasets::PaperData;
+use crate::harness::IimSettings;
+use iim_data::FeatureSelection;
 use iim_neighbors::IndexChoice;
 use std::fmt;
 
 /// The method names a spec may request: IIM plus the Table II baselines,
 /// exactly the lineup [`method_lineup`](crate::harness::method_lineup)
-/// builds.
+/// builds. IIM also takes learning settings in its name, such as
+/// `IIM/fixed=200` (see [`IimSettings`]).
 pub const KNOWN_METHODS: [&str; 14] = [
     "IIM", "Mean", "kNN", "kNNE", "IFC", "GMM", "SVD", "ILLS", "GLR", "LOESS", "BLR", "ERACER",
     "PMM", "XGB",
 ];
+
+/// Which attributes each per-attribute model learns from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Features {
+    /// Every attribute but the target (`all`, the paper's default).
+    All,
+    /// The first `f` non-target attributes (Figures 4–5's |F|).
+    First(usize),
+}
+
+impl Features {
+    /// The selection the lineup is built with.
+    pub fn selection(self) -> FeatureSelection {
+        match self {
+            Features::All => FeatureSelection::AllOthers,
+            Features::First(f) => FeatureSelection::FirstK(f),
+        }
+    }
+}
+
+impl fmt::Display for Features {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Features::All => f.write_str("all"),
+            Features::First(n) => write!(f, "{n}"),
+        }
+    }
+}
+
+/// How the incomplete tuples are made. Every injector removes one cell
+/// per incomplete tuple.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Injector {
+    /// `attr` removes the last attribute, the paper's default `Am`;
+    /// `attr:<j>` removes attribute `Aj`, counted from 1 (Table VI).
+    Attr(Option<usize>),
+    /// `clustered:<c>`: the last attribute, removed from clusters of `c`
+    /// mutually nearest tuples (Figure 8).
+    Clustered(usize),
+}
+
+impl Injector {
+    /// Parses `attr`, `attr:<j>` or `clustered:<c>`.
+    pub fn parse(text: &str) -> Option<Injector> {
+        let arg = |rest: &str| rest.parse::<usize>().ok();
+        match text.split_once(':') {
+            None if text == "attr" => Some(Injector::Attr(None)),
+            Some(("attr", j)) => arg(j).map(|j| Injector::Attr(Some(j))),
+            Some(("clustered", c)) => arg(c).map(Injector::Clustered),
+            _ => None,
+        }
+    }
+}
+
+impl fmt::Display for Injector {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Injector::Attr(None) => f.write_str("attr"),
+            Injector::Attr(Some(j)) => write!(f, "attr:{j}"),
+            Injector::Clustered(c) => write!(f, "clustered:{c}"),
+        }
+    }
+}
 
 /// A declarative experiment: the full cross-product the runner executes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Spec {
     /// Spec name; becomes the default result-file stem (`BENCH_<name>`).
     pub name: String,
-    /// Methods to score, validated against [`KNOWN_METHODS`].
+    /// Methods to score: [`KNOWN_METHODS`], or IIM with settings.
     pub methods: Vec<String>,
     /// Datasets to run over.
     pub datasets: Vec<PaperData>,
@@ -46,12 +114,18 @@ pub struct Spec {
     pub repeats: usize,
     /// Untimed warm-up executions per cell before the timed repeats.
     pub warmup: usize,
-    /// Dataset-size override; `None` = each dataset's harness default.
-    pub n: Option<usize>,
-    /// Master RNG seed for generation and injection.
-    pub seed: u64,
-    /// Imputation-neighbor count.
-    pub k: usize,
+    /// Dataset sizes (all rows, complete and incomplete); empty = each
+    /// dataset's harness default.
+    pub n: Vec<usize>,
+    /// Master RNG seeds; each drives generation, injection and the
+    /// stochastic baselines of its cells.
+    pub seeds: Vec<u64>,
+    /// Imputation-neighbor counts.
+    pub k: Vec<usize>,
+    /// Feature sets.
+    pub features: Vec<Features>,
+    /// Injectors.
+    pub injector: Vec<Injector>,
 }
 
 impl Default for Spec {
@@ -65,9 +139,11 @@ impl Default for Spec {
             index: vec![IndexChoice::Auto],
             repeats: 3,
             warmup: 1,
-            n: None,
-            seed: 42,
-            k: 10,
+            n: Vec::new(),
+            seeds: vec![42],
+            k: vec![10],
+            features: vec![Features::All],
+            injector: vec![Injector::Attr(None)],
         }
     }
 }
@@ -141,6 +217,13 @@ enum TomlValue {
     Arr(Vec<TomlValue>),
 }
 
+fn bad(key: &str, message: String) -> SpecError {
+    SpecError::BadValue {
+        key: key.to_string(),
+        message,
+    }
+}
+
 impl Spec {
     /// Parses and validates a spec from TOML-subset text.
     pub fn parse(text: &str) -> Result<Spec, SpecError> {
@@ -181,7 +264,14 @@ impl Spec {
 
     /// Assigns one `key = value` pair (shared by the file parser and the
     /// CLI flag overrides, which funnel through the same typed checks).
+    /// Ranges are checked by [`Spec::validate`].
     fn set(&mut self, key: &str, value: TomlValue) -> Result<(), SpecError> {
+        let usizes = |value| -> Result<Vec<usize>, SpecError> {
+            num_list(key, value)?
+                .into_iter()
+                .map(|v| usize_value(key, v))
+                .collect()
+        };
         match key {
             "name" => self.name = string_value(key, value)?,
             "methods" => self.methods = string_list(key, value)?,
@@ -191,30 +281,8 @@ impl Spec {
                     .map(|name| parse_dataset(name))
                     .collect::<Result<_, _>>()?;
             }
-            "missing_rates" => {
-                let rates = num_list(key, value)?;
-                for &r in &rates {
-                    if !(0.0..1.0).contains(&r) || r <= 0.0 {
-                        return Err(SpecError::BadValue {
-                            key: key.to_string(),
-                            message: format!("rate {r} outside (0, 1)"),
-                        });
-                    }
-                }
-                self.missing_rates = rates;
-            }
-            "threads" => {
-                self.threads = num_list(key, value)?
-                    .into_iter()
-                    .map(|v| usize_value(key, v))
-                    .collect::<Result<_, _>>()?;
-                if self.threads.contains(&0) {
-                    return Err(SpecError::BadValue {
-                        key: key.to_string(),
-                        message: "thread counts must be positive".to_string(),
-                    });
-                }
-            }
+            "missing_rates" => self.missing_rates = num_list(key, value)?,
+            "threads" => self.threads = usizes(value)?,
             "index" => {
                 self.index = string_list(key, value)?
                     .iter()
@@ -226,9 +294,40 @@ impl Spec {
             }
             "repeats" => self.repeats = usize_value(key, num_value(key, value)?)?,
             "warmup" => self.warmup = usize_value(key, num_value(key, value)?)?,
-            "n" => self.n = Some(usize_value(key, num_value(key, value)?)?),
-            "seed" => self.seed = usize_value(key, num_value(key, value)?)? as u64,
-            "k" => self.k = usize_value(key, num_value(key, value)?)?,
+            "n" => self.n = usizes(value)?,
+            "seeds" => self.seeds = usizes(value)?.into_iter().map(|s| s as u64).collect(),
+            "k" => self.k = usizes(value)?,
+            "features" => {
+                let items = match value {
+                    TomlValue::Arr(items) => items,
+                    single => vec![single],
+                };
+                self.features = items
+                    .into_iter()
+                    .map(|item| match item {
+                        TomlValue::Str(s) if s == "all" => Ok(Features::All),
+                        TomlValue::Str(s) => s
+                            .parse::<usize>()
+                            .map(Features::First)
+                            .map_err(|_| bad(key, format!("`{s}` is not `all` or a count"))),
+                        TomlValue::Num(v) => usize_value(key, v).map(Features::First),
+                        _ => Err(bad(key, "expected `all` or a count".to_string())),
+                    })
+                    .collect::<Result<_, _>>()?;
+            }
+            "injector" => {
+                self.injector = string_list(key, value)?
+                    .iter()
+                    .map(|text| {
+                        Injector::parse(text).ok_or_else(|| {
+                            bad(
+                                key,
+                                format!("`{text}` is not attr, attr:<j> or clustered:<c>"),
+                            )
+                        })
+                    })
+                    .collect::<Result<_, _>>()?;
+            }
             other => return Err(SpecError::UnknownKey(other.to_string())),
         }
         Ok(())
@@ -239,58 +338,104 @@ impl Spec {
     /// the value as-is.
     pub fn set_from_flag(&mut self, key: &str, raw: &str) -> Result<(), SpecError> {
         let value = match key {
-            "methods" | "datasets" | "index" => TomlValue::Arr(
+            "methods" | "datasets" | "index" | "features" | "injector" => TomlValue::Arr(
                 raw.split(',')
                     .map(|s| TomlValue::Str(s.trim().to_string()))
                     .collect(),
             ),
-            "missing_rates" | "threads" => TomlValue::Arr(
+            "missing_rates" | "threads" | "seeds" | "n" | "k" => TomlValue::Arr(
                 raw.split(',')
                     .map(|s| {
-                        s.trim().parse::<f64>().map(TomlValue::Num).map_err(|_| {
-                            SpecError::BadValue {
-                                key: key.to_string(),
-                                message: format!("`{s}` is not a number"),
-                            }
-                        })
+                        s.trim()
+                            .parse::<f64>()
+                            .map(TomlValue::Num)
+                            .map_err(|_| bad(key, format!("`{s}` is not a number")))
                     })
                     .collect::<Result<_, _>>()?,
             ),
             "name" => TomlValue::Str(raw.to_string()),
-            _ => TomlValue::Num(raw.parse::<f64>().map_err(|_| SpecError::BadValue {
-                key: key.to_string(),
-                message: format!("`{raw}` is not a number"),
-            })?),
+            _ => TomlValue::Num(
+                raw.parse::<f64>()
+                    .map_err(|_| bad(key, format!("`{raw}` is not a number")))?,
+            ),
         };
         self.set(key, value)?;
         self.validate()
     }
 
-    /// Re-checks cross-field invariants (list non-emptiness, known
-    /// method names) — run after any mutation path.
+    /// Checks every value's range and the cross-field invariants (list
+    /// non-emptiness, known method names, attributes each dataset has) —
+    /// run after any mutation path and before the runner starts.
     pub fn validate(&self) -> Result<(), SpecError> {
         for m in &self.methods {
-            if !KNOWN_METHODS.contains(&m.as_str()) {
-                return Err(SpecError::UnknownMethod(m.clone()));
+            match IimSettings::parse(m) {
+                Ok(Some(_)) => {}
+                Ok(None) if KNOWN_METHODS.contains(&m.as_str()) => {}
+                Ok(None) => return Err(SpecError::UnknownMethod(m.clone())),
+                Err(message) => return Err(bad("methods", format!("{m}: {message}"))),
             }
         }
-        if self.methods.is_empty() {
-            return Err(SpecError::Empty("methods"));
-        }
-        if self.datasets.is_empty() {
-            return Err(SpecError::Empty("datasets"));
-        }
-        if self.missing_rates.is_empty() {
-            return Err(SpecError::Empty("missing_rates"));
-        }
-        if self.threads.is_empty() {
-            return Err(SpecError::Empty("threads"));
-        }
-        if self.index.is_empty() {
-            return Err(SpecError::Empty("index"));
+        let lists = [
+            ("methods", self.methods.is_empty()),
+            ("datasets", self.datasets.is_empty()),
+            ("missing_rates", self.missing_rates.is_empty()),
+            ("threads", self.threads.is_empty()),
+            ("index", self.index.is_empty()),
+            ("seeds", self.seeds.is_empty()),
+            ("k", self.k.is_empty()),
+            ("features", self.features.is_empty()),
+            ("injector", self.injector.is_empty()),
+        ];
+        if let Some((field, _)) = lists.iter().find(|(_, empty)| *empty) {
+            return Err(SpecError::Empty(field));
         }
         if self.repeats == 0 {
             return Err(SpecError::Empty("repeats"));
+        }
+        if let Some(r) = self
+            .missing_rates
+            .iter()
+            .find(|r| !(**r > 0.0 && **r < 1.0))
+        {
+            return Err(bad("missing_rates", format!("rate {r} outside (0, 1)")));
+        }
+        if self.threads.contains(&0) {
+            return Err(bad("threads", "thread counts must be positive".to_string()));
+        }
+        if self.k.contains(&0) {
+            return Err(bad("k", "neighbor counts must be positive".to_string()));
+        }
+        if let Some(n) = self.n.iter().find(|&&n| n < 2) {
+            return Err(bad(
+                "n",
+                format!("{n} rows leave no complete tuple beside an incomplete one; use n >= 2"),
+            ));
+        }
+        // The narrowest dataset bounds every attribute-valued setting.
+        let arity = self.datasets.iter().map(|d| d.arity()).min().unwrap_or(0);
+        for &f in &self.features {
+            if let Features::First(f) = f {
+                if f == 0 || f >= arity {
+                    return Err(bad(
+                        "features",
+                        format!("{f} is not in 1..{arity}, the feature counts every dataset has"),
+                    ));
+                }
+            }
+        }
+        for &inj in &self.injector {
+            match inj {
+                Injector::Attr(Some(j)) if j == 0 || j > arity => {
+                    return Err(bad(
+                        "injector",
+                        format!("attr:{j} is not in 1..={arity}, the attributes every dataset has"),
+                    ));
+                }
+                Injector::Clustered(0) => {
+                    return Err(bad("injector", "cluster size must be positive".to_string()));
+                }
+                _ => {}
+            }
         }
         Ok(())
     }
@@ -298,30 +443,53 @@ impl Spec {
     /// Renders the spec back to its TOML-subset text (round-trips through
     /// [`Spec::parse`]); embedded in result files for provenance.
     pub fn to_toml(&self) -> String {
-        let strs = |items: &[String]| {
-            items
-                .iter()
-                .map(|s| format!("\"{s}\""))
-                .collect::<Vec<_>>()
-                .join(", ")
-        };
+        fn list<T>(items: &[T], render: impl Fn(&T) -> String) -> String {
+            let items: Vec<String> = items.iter().map(render).collect();
+            format!("[{}]", items.join(", "))
+        }
+        let quoted = |s: &dyn fmt::Display| format!("\"{s}\"");
         let mut out = format!("name = \"{}\"\n", self.name);
-        out.push_str(&format!("methods = [{}]\n", strs(&self.methods)));
-        let ds: Vec<String> = self.datasets.iter().map(|d| d.name().to_string()).collect();
-        out.push_str(&format!("datasets = [{}]\n", strs(&ds)));
-        let rates: Vec<String> = self.missing_rates.iter().map(|r| format!("{r}")).collect();
-        out.push_str(&format!("missing_rates = [{}]\n", rates.join(", ")));
-        let threads: Vec<String> = self.threads.iter().map(|t| t.to_string()).collect();
-        out.push_str(&format!("threads = [{}]\n", threads.join(", ")));
-        let idx: Vec<String> = self.index.iter().map(|i| i.name().to_string()).collect();
-        out.push_str(&format!("index = [{}]\n", strs(&idx)));
+        out.push_str(&format!(
+            "methods = {}\n",
+            list(&self.methods, |m| quoted(m))
+        ));
+        out.push_str(&format!(
+            "datasets = {}\n",
+            list(&self.datasets, |d| quoted(&d.name()))
+        ));
+        out.push_str(&format!(
+            "missing_rates = {}\n",
+            list(&self.missing_rates, |r| r.to_string())
+        ));
+        out.push_str(&format!(
+            "threads = {}\n",
+            list(&self.threads, |t| t.to_string())
+        ));
+        out.push_str(&format!(
+            "index = {}\n",
+            list(&self.index, |i| quoted(&i.name()))
+        ));
         out.push_str(&format!("repeats = {}\n", self.repeats));
         out.push_str(&format!("warmup = {}\n", self.warmup));
-        if let Some(n) = self.n {
-            out.push_str(&format!("n = {n}\n"));
+        if !self.n.is_empty() {
+            out.push_str(&format!("n = {}\n", list(&self.n, |n| n.to_string())));
         }
-        out.push_str(&format!("seed = {}\n", self.seed));
-        out.push_str(&format!("k = {}\n", self.k));
+        out.push_str(&format!(
+            "seeds = {}\n",
+            list(&self.seeds, |s| s.to_string())
+        ));
+        out.push_str(&format!("k = {}\n", list(&self.k, |k| k.to_string())));
+        out.push_str(&format!(
+            "features = {}\n",
+            list(&self.features, |f| match f {
+                Features::All => quoted(f),
+                Features::First(n) => n.to_string(),
+            })
+        ));
+        out.push_str(&format!(
+            "injector = {}\n",
+            list(&self.injector, |i| quoted(i))
+        ));
         out
     }
 }
@@ -435,30 +603,53 @@ mod tests {
     const FULL: &str = r#"
 # A full spec exercising every key.
 name = "quick"
-methods = ["IIM", "kNN", "Mean"]
+methods = ["IIM", "kNN", "Mean", "IIM/fixed=200", "IIM/h=50/straightforward"]
 datasets = ["ASF", "CCS"]
 missing_rates = [0.05, 0.1]
 threads = [1, 2]
 index = ["auto", "brute"]
 repeats = 2
 warmup = 1
-n = 300
-seed = 7
-k = 5
+n = [300, 600]
+seeds = [7, 8]
+k = [5, 10]
+features = ["all", 2]
+injector = ["attr", "attr:2", "clustered:3"]
 "#;
 
     #[test]
     fn parses_a_full_spec() {
         let spec = Spec::parse(FULL).unwrap();
         assert_eq!(spec.name, "quick");
-        assert_eq!(spec.methods, ["IIM", "kNN", "Mean"]);
+        assert_eq!(
+            spec.methods,
+            [
+                "IIM",
+                "kNN",
+                "Mean",
+                "IIM/fixed=200",
+                "IIM/h=50/straightforward"
+            ]
+        );
         assert_eq!(spec.datasets, [PaperData::Asf, PaperData::Ccs]);
         assert_eq!(spec.missing_rates, [0.05, 0.1]);
         assert_eq!(spec.threads, [1, 2]);
         assert_eq!(spec.index, [IndexChoice::Auto, IndexChoice::Brute]);
         assert_eq!((spec.repeats, spec.warmup), (2, 1));
-        assert_eq!(spec.n, Some(300));
-        assert_eq!((spec.seed, spec.k), (7, 5));
+        assert_eq!(spec.n, [300, 600]);
+        assert_eq!(
+            (spec.seeds.as_slice(), spec.k.as_slice()),
+            (&[7, 8][..], &[5, 10][..])
+        );
+        assert_eq!(spec.features, [Features::All, Features::First(2)]);
+        assert_eq!(
+            spec.injector,
+            [
+                Injector::Attr(None),
+                Injector::Attr(Some(2)),
+                Injector::Clustered(3)
+            ]
+        );
     }
 
     #[test]
@@ -542,7 +733,89 @@ k = 5
 
     #[test]
     fn comments_and_blank_lines_are_ignored() {
-        let spec = Spec::parse("# header\n\nseed = 9 # trailing\n").unwrap();
-        assert_eq!(spec.seed, 9);
+        let spec = Spec::parse("# header\n\nseeds = 9 # trailing\n").unwrap();
+        assert_eq!(spec.seeds, [9]);
+    }
+
+    #[test]
+    fn degenerate_sizes_are_bad_values() {
+        for text in [
+            "k = 0",
+            "k = [10, 0]",
+            "n = 1",
+            "n = 0",
+            "n = [300, 1]",
+            "seeds = []",
+        ] {
+            let err = Spec::parse(text).unwrap_err();
+            assert!(
+                matches!(err, SpecError::BadValue { .. } | SpecError::Empty(_)),
+                "{text}: {err:?}"
+            );
+        }
+        assert!(matches!(
+            Spec::parse("n = 1").unwrap_err(),
+            SpecError::BadValue { ref key, .. } if key == "n"
+        ));
+        assert!(matches!(
+            Spec::parse("k = 0").unwrap_err(),
+            SpecError::BadValue { ref key, .. } if key == "k"
+        ));
+        let spec = Spec::parse("n = 2").unwrap();
+        assert_eq!(spec.n, [2]);
+    }
+
+    #[test]
+    fn attribute_settings_are_checked_against_every_dataset() {
+        // SN has two attributes, so one feature and attributes 1..=2.
+        assert!(Spec::parse("datasets = [\"ASF\"]\nfeatures = [5]").is_ok());
+        for text in [
+            "datasets = [\"ASF\", \"SN\"]\nfeatures = [2]",
+            "features = [0]",
+            "features = [\"most\"]",
+            "injector = [\"attr:0\"]",
+            "injector = [\"attr:7\"]",
+            "datasets = [\"SN\"]\ninjector = [\"attr:3\"]",
+            "injector = [\"clustered:0\"]",
+            "injector = [\"random\"]",
+            "injector = [\"attr:x\"]",
+        ] {
+            assert!(
+                matches!(Spec::parse(text).unwrap_err(), SpecError::BadValue { .. }),
+                "{text}"
+            );
+        }
+    }
+
+    #[test]
+    fn iim_settings_are_method_names() {
+        let spec = Spec::parse("methods = [\"IIM/weighting=uniform\", \"IIM/fixed=50\"]").unwrap();
+        assert_eq!(spec.methods, ["IIM/weighting=uniform", "IIM/fixed=50"]);
+        assert!(matches!(
+            Spec::parse("methods = [\"IIM/fixed=50/h=5\"]").unwrap_err(),
+            SpecError::BadValue { .. }
+        ));
+        assert_eq!(
+            Spec::parse("methods = [\"kNN/fixed=50\"]").unwrap_err(),
+            SpecError::UnknownMethod("kNN/fixed=50".to_string())
+        );
+        let mut flags = Spec::default();
+        flags.set_from_flag("methods", "IIM/h=10,kNN").unwrap();
+        flags.set_from_flag("features", "all,3").unwrap();
+        flags
+            .set_from_flag("injector", "attr:1,clustered:5")
+            .unwrap();
+        flags.set_from_flag("seeds", "42,1").unwrap();
+        assert_eq!(flags.methods, ["IIM/h=10", "kNN"]);
+        assert_eq!(flags.features, [Features::All, Features::First(3)]);
+        assert_eq!(
+            flags.injector,
+            [Injector::Attr(Some(1)), Injector::Clustered(5)]
+        );
+        assert_eq!(flags.seeds, [42, 1]);
+        assert!(matches!(
+            Spec::parse("seed = 42").unwrap_err(),
+            SpecError::UnknownKey(_)
+        ));
     }
 }

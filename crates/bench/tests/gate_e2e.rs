@@ -7,7 +7,9 @@
 
 use iim_bench::cli::bench_main;
 use iim_bench::diff::{diff, DiffConfig};
-use iim_bench::{runner, BenchResult, Spec};
+use iim_bench::report::results_dir;
+use iim_bench::{runner, BenchResult, Cell, PaperData, Spec};
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
 /// A spec small enough for a debug-profile test run: two cheap methods,
@@ -21,7 +23,7 @@ fn tiny_spec() -> Spec {
         threads: vec![1, 2],
         repeats: 2,
         warmup: 0,
-        n: Some(120),
+        n: vec![120],
         ..Spec::default()
     }
 }
@@ -145,21 +147,106 @@ fn the_cli_gate_round_trips_run_and_diff() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Every `.toml` under `dir`, descending into subdirectories.
+fn spec_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.is_dir() {
+            spec_files(&path, out);
+        } else if path.extension().is_some_and(|e| e == "toml") {
+            out.push(path);
+        }
+    }
+}
+
+fn specs_dir() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("specs")
+}
+
 #[test]
 fn the_committed_spec_presets_parse_and_expand() {
-    let specs = Path::new(env!("CARGO_MANIFEST_DIR")).join("specs");
-    let mut seen = 0;
-    for entry in std::fs::read_dir(&specs).unwrap() {
-        let path = entry.unwrap().path();
-        if path.extension().is_none_or(|e| e != "toml") {
-            continue;
-        }
-        let text = std::fs::read_to_string(&path).unwrap();
+    let mut files = Vec::new();
+    spec_files(&specs_dir(), &mut files);
+    let mut paper = BTreeSet::new();
+    for path in &files {
+        let text = std::fs::read_to_string(path).unwrap();
         let spec =
             Spec::parse(&text).unwrap_or_else(|e| panic!("{} does not parse: {e}", path.display()));
         let cells = runner::expand(&spec);
         assert!(!cells.is_empty(), "{} expands to no work", path.display());
-        seen += 1;
+        let stem = path.file_stem().unwrap().to_str().unwrap();
+        assert_eq!(
+            spec.name,
+            stem,
+            "{}: name differs from the file",
+            path.display()
+        );
+        if path.parent().unwrap().ends_with("paper") {
+            paper.insert(stem.to_string());
+        }
     }
-    assert!(seen >= 3, "expected the committed presets, found {seen}");
+    let want: BTreeSet<String> = [
+        "table5", "table6", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11",
+        "fig12a", "fig12b", "fig13", "ablation",
+    ]
+    .iter()
+    .map(|s| s.to_string())
+    .collect();
+    assert_eq!(paper, want, "the paper's artifacts under specs/paper/");
+    assert!(
+        files.len() >= want.len() + 3,
+        "expected the committed presets, found {}",
+        files.len()
+    );
+}
+
+fn cell_keys(result: &BenchResult) -> BTreeSet<String> {
+    result.cells.iter().map(Cell::key).collect()
+}
+
+/// Every cell of `new` has a cell of `committed` with the same key, and
+/// their rmse agree by `iim bench diff`'s rule.
+fn assert_rmse_reproduced(new: &BenchResult, committed: &BenchResult) {
+    let rule = DiffConfig::default();
+    for cell in &new.cells {
+        let key = cell.key();
+        let old = committed
+            .cells
+            .iter()
+            .find(|c| c.key() == key)
+            .unwrap_or_else(|| panic!("no committed cell {key}"));
+        let rmse = |c: &Cell| c.metric_named("rmse").unwrap().samples[0];
+        assert!(
+            rule.rmse_agrees(rmse(cell), rmse(old)),
+            "{key}: rmse {} vs committed {}",
+            rmse(cell),
+            rmse(old)
+        );
+    }
+}
+
+#[test]
+fn the_ci_quick_run_reproduces_the_committed_baseline_cells() {
+    let text = std::fs::read_to_string(specs_dir().join("ci_quick.toml")).unwrap();
+    let mut spec = Spec::parse(&text).unwrap();
+    // Only rmse is compared, and it does not depend on the timing policy.
+    spec.repeats = 1;
+    spec.warmup = 0;
+    let new = runner::run(&spec);
+    let baseline = BenchResult::load(&results_dir().join("BASELINE_ci_quick.json")).unwrap();
+    // CI's diff reports no lost cell and no new-only one.
+    assert_eq!(cell_keys(&new), cell_keys(&baseline));
+    assert_rmse_reproduced(&new, &baseline);
+}
+
+#[test]
+fn table5s_asf_and_ccs_rows_reproduce_the_committed_envelope() {
+    let text = std::fs::read_to_string(specs_dir().join("paper/table5.toml")).unwrap();
+    let mut spec = Spec::parse(&text).unwrap();
+    spec.datasets = vec![PaperData::Asf, PaperData::Ccs];
+    spec.seeds = vec![42];
+    let new = runner::run(&spec);
+    assert_eq!(new.cells.len(), 2 * 14);
+    let committed = BenchResult::load(&results_dir().join("BENCH_table5.json")).unwrap();
+    assert_rmse_reproduced(&new, &committed);
 }

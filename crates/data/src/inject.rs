@@ -2,15 +2,21 @@
 //!
 //! "For each dataset we randomly select a set of tuples as {tx} by removing
 //! values on (multiple) attributes {Ax} as missing values. The remaining
-//! tuples are considered as complete tuples in r." Three injectors cover the
-//! three workloads used in the experiments:
+//! tuples are considered as complete tuples in r." Every injector removes
+//! one cell per incomplete tuple. What the committed experiments use (the
+//! specs under `crates/bench/specs/` and the `paper` binary of
+//! `iim-bench`):
 //!
+//! * [`inject_attr`] — a fixed attribute loses values on random tuples:
+//!   the last attribute `Am` for Table V, Figures 4–7 and 9–13 and the
+//!   ablation (the spec injector `attr`), attribute `Aj` for Table VI
+//!   (`attr:<j>`) and for the `paper profiles` probes.
+//! * [`inject_clustered_attr`] — `Am` loses values on clusters of
+//!   mutually nearest tuples, so their nearest neighbors are also
+//!   incomplete (Figure 8, `clustered:<c>`).
 //! * [`inject_random`] — x% of tuples lose one value on a random attribute
-//!   (Tables V, Figures 4–7, 9–13).
-//! * [`inject_attr`] — a fixed attribute loses values on random tuples
-//!   (Table VI).
-//! * [`inject_clustered`] — incomplete tuples form tight clusters so their
-//!   nearest neighbors are also incomplete (Figure 8).
+//!   (Table VII's clustering rows); [`inject_clustered`] is its clustered
+//!   form. No spec injector names these two yet.
 
 use crate::relation::Relation;
 use rand::seq::SliceRandom;
@@ -107,8 +113,8 @@ pub fn inject_clustered<R: Rng>(
     inject_clustered_inner(rel, n_incomplete, cluster_size, None, rng)
 }
 
-/// [`inject_clustered`] with a fixed missing attribute (the Table V/VI
-/// single-attribute protocol combined with Figure 8's clustered workload).
+/// [`inject_clustered`] with a fixed missing attribute (the single-attribute
+/// protocol of Tables V–VI combined with Figure 8's clustered workload).
 pub fn inject_clustered_attr<R: Rng>(
     rel: &mut Relation,
     n_incomplete: usize,

@@ -163,6 +163,16 @@ pub struct SnapshotInfo {
     pub recovered_at: Option<u64>,
 }
 
+impl SnapshotInfo {
+    /// Whether the snapshotted model supports
+    /// [`FittedImputer::absorb`]. Absorb support is a property of the
+    /// fitted method — IIM, Mean and GLR — so the method tag answers it
+    /// without decoding the payload.
+    pub fn can_absorb(&self) -> bool {
+        matches!(self.method.as_str(), "IIM" | "Mean" | "GLR")
+    }
+}
+
 fn push_tag(out: &mut Vec<u8>, s: &str, what: &str) -> Result<(), PersistError> {
     let len = u16::try_from(s.len())
         .map_err(|_| PersistError::UnsupportedModel(format!("{what} too long: {s:?}")))?;

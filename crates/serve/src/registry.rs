@@ -323,14 +323,10 @@ impl Registry {
         let info = iim_persist::inspect(&bytes).map_err(RegistryError::Load)?;
         Ok(ModelInfo {
             name: name.to_string(),
+            can_absorb: info.can_absorb(),
             method: info.method,
             snapshot_version: info.version,
             resident: false,
-            // Absorb support is a property of the fitted method; without
-            // activating we report what the snapshot carries: a model that
-            // already absorbed rows certainly can, others say false until
-            // resident.
-            can_absorb: info.absorbed_rows > 0,
             absorbed: info.absorbed_rows,
             schema: info.schema,
         })
@@ -610,6 +606,49 @@ mod tests {
             ..Default::default()
         })
         .unwrap()
+    }
+
+    #[test]
+    fn cold_and_resident_cards_report_the_methods_absorb_support() {
+        // Three attributes, so every lineup method fits.
+        let rows: Vec<Vec<f64>> = (0..40)
+            .map(|i| {
+                let (a, b) = (i as f64 * 0.5, (i % 7) as f64);
+                vec![a, b, 2.0 * a - b + 3.0 + (i % 3) as f64 * 0.1]
+            })
+            .collect();
+        let rel = iim_data::Relation::from_rows(iim_data::Schema::anonymous(3), &rows);
+        let mut lineup: Vec<Box<dyn Imputer>> = vec![Box::new(PerAttributeImputer::new(
+            iim_core::Iim::new(iim_core::IimConfig {
+                k: 3,
+                ..Default::default()
+            }),
+        ))];
+        lineup.extend(iim_baselines::all_baselines(
+            3,
+            7,
+            iim_data::FeatureSelection::AllOthers,
+        ));
+        assert_eq!(lineup.len(), 14);
+        let registry = temp_registry("absorb-cards", 1);
+        let mut absorbing = Vec::new();
+        for method in &lineup {
+            let fitted = method.fit(&rel).unwrap();
+            let name = method.name().to_lowercase();
+            let bytes = iim_persist::save_to_vec(fitted.as_ref()).unwrap();
+            registry.stage(&name, &bytes).unwrap();
+            let cold = registry.info(&name).unwrap();
+            assert!(!cold.resident, "{name}");
+            assert_eq!(cold.can_absorb, fitted.can_absorb(), "{name}: cold card");
+            registry.tenant(&name).unwrap();
+            let hot = registry.info(&name).unwrap();
+            assert!(hot.resident, "{name}");
+            assert_eq!(hot.can_absorb, fitted.can_absorb(), "{name}: resident card");
+            if fitted.can_absorb() {
+                absorbing.push(method.name().to_string());
+            }
+        }
+        assert_eq!(absorbing, ["IIM", "Mean", "GLR"]);
     }
 
     /// The rows as one flat block, the daemon's wire shape.

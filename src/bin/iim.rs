@@ -164,6 +164,7 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
                 f.k = it
                     .next()
                     .and_then(|v| v.parse().ok())
+                    .filter(|&k| k > 0)
                     .ok_or("--k needs a positive integer")?
             }
             "--seed" => {

@@ -75,7 +75,7 @@
 //!   [`FittedImputer::impute_all`](data::FittedImputer::impute_all)
 //!   (online), accumulating into
 //!   [`PhaseTimings`](data::PhaseTimings) — see `iim-bench`'s
-//!   `run_lineup` for the pattern.
+//!   `harness::score_cell` for the pattern.
 //! * Methods implementing the trait now provide `fit_targets` (offline
 //!   learning, returning a `Box<dyn FittedImputer>`) instead of `impute`;
 //!   per-attribute methods keep implementing
@@ -130,8 +130,11 @@
 //! | [`persist`] | `iim-persist` | versioned binary model snapshots (save/load every fitted imputer bit-exactly) |
 //! | [`serve`] | `iim-serve` | std-only HTTP/1.1 daemon; reads run inline under a per-model read-write lock |
 //!
-//! Experiments: `cargo run -p iim-bench --release --bin all` regenerates
-//! every table and figure into `bench_results/`.
+//! Experiments: every imputation-error table and figure of the paper is
+//! a spec under `crates/bench/specs/paper/`, run by
+//! `iim bench run crates/bench/specs/paper/<artifact>.toml`; Table VII and
+//! the dataset profiles are `cargo run -p iim-bench --release --bin paper
+//! -- table7|profiles`. Each writes a result envelope to `bench_results/`.
 //!
 //! ## Deployment
 //!

@@ -212,3 +212,34 @@ fn error_paths_use_exit_code_conventions() {
         .unwrap();
     assert_eq!(out.status.code(), Some(1));
 }
+
+#[test]
+fn zero_neighbors_is_a_usage_error() {
+    // `--k 0` used to reach ILLS, whose local regressions over no
+    // neighbours made NaN estimates and panicked (exit 101).
+    let dir = temp_dir("k-zero");
+    let input = write_marker_csv(&dir);
+    let snapshot = dir.join("ills.iim");
+    for args in [
+        vec!["impute", "--method", "ILLS", "--k", "0"],
+        vec![
+            "fit",
+            "--save",
+            snapshot.to_str().unwrap(),
+            "--method",
+            "ILLS",
+            "--k",
+            "0",
+        ],
+    ] {
+        let out = Command::new(iim_bin())
+            .args(&args)
+            .arg(&input)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("--k needs a positive integer"), "{stderr}");
+    }
+    assert!(!snapshot.exists());
+}
